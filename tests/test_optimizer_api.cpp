@@ -3,12 +3,18 @@
 // progress callback, and memoisation in Optimization_service.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <ostream>
 #include <stdexcept>
 
 #include "core/optimization_service.h"
 #include "core/optimizer_api.h"
 #include "core/xrlflow.h"
 #include "ir/builder.h"
+#include "models/models.h"
 #include "optimizers/pet/pet_optimizer.h"
 #include "optimizers/taso/taso_optimizer.h"
 #include "optimizers/tensat/tensat_optimizer.h"
@@ -203,6 +209,134 @@ TEST(OptimizerParity, XrlflowAdapterMatchesLegacyGreedyRollout)
     EXPECT_EQ(unified.final_ms, legacy.final_ms);
     EXPECT_EQ(unified.steps, legacy.steps);
     EXPECT_EQ(unified.best_graph.canonical_hash(), legacy.best_graph.canonical_hash());
+}
+
+// ---------------------------------------------------------------------------
+// Golden results: every backend's search trajectory, pinned bit for bit
+// ---------------------------------------------------------------------------
+
+/// The fields of a search result that fix its trajectory: the best graph,
+/// its latency bits, the iteration count and the per-rule counts.
+struct Golden_result {
+    std::uint64_t best_hash = 0;
+    std::uint64_t final_ms_bits = 0;
+    int steps = 0;
+    std::map<std::string, int> rule_counts;
+
+    bool operator==(const Golden_result&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Golden_result& golden)
+{
+    char head[96];
+    std::snprintf(head, sizeof head, "{0x%016llxULL, 0x%016llxULL, %d, {",
+                  static_cast<unsigned long long>(golden.best_hash),
+                  static_cast<unsigned long long>(golden.final_ms_bits), golden.steps);
+    os << head;
+    const char* separator = "";
+    for (const auto& [name, count] : golden.rule_counts) {
+        os << separator << "{\"" << name << "\", " << count << "}";
+        separator = ", ";
+    }
+    return os << "}}";
+}
+
+Golden_result golden_of(const Optimize_result& result)
+{
+    return {result.best_graph.canonical_hash(), std::bit_cast<std::uint64_t>(result.final_ms),
+            result.steps, result.rule_counts};
+}
+
+Golden_result run_backend(const std::string& backend, const Graph& model)
+{
+    const Rule_set rules = standard_rule_corpus();
+    const auto optimizer = make_optimizer(
+        backend, api_context(rules, {{"taso.budget", 25}, {"pet.budget", 25},
+                                     {"tensat.max_iterations", 3}}));
+    return golden_of(optimizer->optimize(model, {}));
+}
+
+TEST(GoldenResults, TasoOnSmokeBert)
+{
+    const Golden_result expected{
+        0x0bfa15e46ef2194bULL, 0x3fdad83db6d0efd3ULL, 25,
+        {{"fold-embedding-projection", 25}, {"fuse-matmul-gelu", 6}, {"matmul-assoc-left", 21},
+         {"matmul-assoc-right", 63}, {"merge-matmul-shared-lhs", 54}, {"scale-into-matmul", 75},
+         {"transpose-of-matmul", 15}}};
+    EXPECT_EQ(run_backend("taso", make_bert(Scale::smoke, 32)), expected);
+}
+
+TEST(GoldenResults, TasoOnSmokeInception)
+{
+    const Golden_result expected{
+        0xa54e771e9eed337aULL, 0x3ff1aedb0aeeb6f9ULL, 25,
+        {{"fold-batch-norm-into-conv", 709}, {"fuse-conv-relu", 10},
+         {"merge-conv-shared-input", 91}, {"pool-relu-commute", 11}, {"relu-pool-commute", 35}}};
+    EXPECT_EQ(run_backend("taso", make_inception_v3(Scale::smoke)), expected);
+}
+
+TEST(GoldenResults, PetOnSmokeBert)
+{
+    const Golden_result expected{
+        0x1a3bc2ea217442f2ULL, 0x3fdc6f7e9925b7acULL, 25,
+        {{"fold-embedding-projection", 25}, {"fuse-matmul-gelu", 75}, {"matmul-assoc-left", 38},
+         {"matmul-assoc-right", 94}, {"merge-matmul-shared-lhs", 133}, {"scale-into-matmul", 59},
+         {"transpose-of-matmul", 46}}};
+    EXPECT_EQ(run_backend("pet", make_bert(Scale::smoke, 32)), expected);
+}
+
+TEST(GoldenResults, PetOnSmokeInception)
+{
+    const Golden_result expected{
+        0x477c37348148963aULL, 0x4002c5f9d3cd3b92ULL, 25,
+        {{"fold-batch-norm-into-conv", 550}, {"fuse-conv-relu", 100},
+         {"merge-conv-shared-input", 225}, {"pet-spatial-split", 850}, {"pool-relu-commute", 50}}};
+    EXPECT_EQ(run_backend("pet", make_inception_v3(Scale::smoke)), expected);
+}
+
+TEST(GoldenResults, TensatOnSmokeBert)
+{
+    const Golden_result expected{
+        0xbe42640c014adc04ULL, 0x3fdadcbaafd343abULL, 3,
+        {{"fuse-matmul-gelu", 3}, {"matmul-assoc-left", 7}, {"matmul-assoc-right", 15},
+         {"scale-into-matmul", 13}, {"transpose-of-matmul", 2}}};
+    EXPECT_EQ(run_backend("tensat", make_bert(Scale::smoke, 32)), expected);
+}
+
+TEST(GoldenResults, TensatOnSmokeInception)
+{
+    const Golden_result expected{
+        0xa161525f5b6f8936ULL, 0x3ff1b68856f0c1d0ULL, 2,
+        {{"fuse-conv-relu", 4}, {"pool-relu-commute", 2}}};
+    EXPECT_EQ(run_backend("tensat", make_inception_v3(Scale::smoke)), expected);
+}
+
+TEST(GoldenResults, SeededGreedyXrlflowOnSmokeBert)
+{
+    // An untrained policy from a fixed seed, run greedily: the environment
+    // path of candidate generation (capped, pooled, index patched per step).
+    const Rule_set rules = standard_rule_corpus();
+    Xrlflow_config config;
+    config.seed = 8;
+    config.agent.gnn.hidden_dim = 16;
+    config.agent.gnn.global_dim = 16;
+    config.agent.head_hidden = {64, 32};
+    config.agent.max_candidates = 31;
+    config.env.max_steps = 12;
+    config.trainer.seed = config.seed;
+    Xrlflow system(rules, config);
+    const Optimisation_outcome outcome = system.optimise(make_bert(Scale::smoke, 32));
+
+    Golden_result result{outcome.best_graph.canonical_hash(),
+                         std::bit_cast<std::uint64_t>(outcome.final_ms), outcome.steps, {}};
+    for (std::size_t i = 0; i < outcome.rule_counts.size(); ++i)
+        if (outcome.rule_counts[i] > 0)
+            result.rule_counts[rules[i]->name()] = outcome.rule_counts[i];
+    const Golden_result expected{
+        0x8f8f861bd681f108ULL, 0x3fe1a0a2c8419b14ULL, 12,
+        {{"fold-embedding-projection", 1}, {"matmul-assoc-left", 1}, {"matmul-assoc-right", 3},
+         {"merge-matmul-shared-lhs", 3}, {"scale-into-matmul", 2}, {"transpose-of-matmul", 2}}};
+    EXPECT_EQ(result, expected);
 }
 
 // ---------------------------------------------------------------------------
