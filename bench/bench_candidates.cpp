@@ -1,10 +1,12 @@
 // Candidate-generation engine benchmark: legacy per-rule apply_all scan vs
-// Candidate_engine, plus environment steps-per-second with both backends.
+// Candidate_engine for one candidate pass, plus environment steps per
+// second through the engine.
 //
 // Emits BENCH_candidates.json (path overridable via argv[1]) recording the
-// before/after numbers behind the README's "Candidate generation" section.
-// The env rollout always takes action 0, so both backends walk the same
-// graph trajectory and the comparison isolates candidate generation.
+// numbers behind the README's "Candidate generation" section. The env
+// rollout always takes action 0, so every run walks the same graph
+// trajectory; tools/bench_ab.sh compares its steps per second between two
+// builds on one machine.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -66,17 +68,11 @@ struct Env_throughput {
     Arena_stats arena;
 };
 
-Env_throughput env_rollout(const Graph& model, const Rule_set& rules, bool use_engine,
-                           int max_steps)
+Env_throughput env_rollout(const Graph& model, const Rule_set& rules, int max_steps)
 {
     E2e_simulator simulator(gtx1080_profile(), 7);
     Env_config config;
     config.max_steps = max_steps;
-    config.use_candidate_engine = use_engine;
-    // The bench measures the production configuration; the rebuild-and-
-    // compare parity check (on by default in debug builds) is covered by
-    // the A/B gate in test_incremental_index.
-    config.verify_incremental_index = false;
     Environment env(model, rules, simulator, config);
 
     Env_throughput out;
@@ -86,23 +82,20 @@ Env_throughput env_rollout(const Graph& model, const Rule_set& rules, bool use_e
     const Trace_scope trace_scope(trace_enabled() ? new_trace_id() : 0, 0);
     // One untimed warm-up rollout fills the engine's slot pool and the
     // thread-local scratch, then three timed rollouts measure the
-    // steady state (and average away single-rollout noise). Both
-    // backends get the identical treatment.
+    // steady state (and average away single-rollout noise).
     while (!env.done()) env.step(0);
     env.reset();
     const auto start = std::chrono::steady_clock::now();
     for (int rollout = 0; rollout < 3; ++rollout) {
         while (!env.done()) {
-            env.step(0); // deterministic walk: both backends see the same graphs
+            env.step(0); // deterministic walk: every run sees the same graphs
             ++out.steps;
         }
         env.reset();
     }
     out.steps_per_second = out.steps / seconds_since(start);
-    if (env.engine() != nullptr) {
-        out.pool = env.engine()->step_pool_stats();
-        out.arena = env.engine()->step_arena_stats();
-    }
+    out.pool = env.engine().step_pool_stats();
+    out.arena = env.engine().step_arena_stats();
     return out;
 }
 
@@ -118,7 +111,7 @@ int main(int argc, char** argv)
 
     print_header("Candidate generation: legacy apply_all scan vs Candidate_engine");
 
-    const Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, 0});
+    Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit});
 
     const double legacy_bert_us = time_us([&] { legacy_pass(bert, rules, per_rule_limit); });
     const double engine_bert_us = time_us([&] { engine.generate(bert); });
@@ -131,16 +124,13 @@ int main(int argc, char** argv)
     std::printf("%-28s %14.1f %14.1f %8.2fx\n", "inception-v3 (smoke)", legacy_incep_us,
                 engine_incep_us, legacy_incep_us / engine_incep_us);
 
-    const Env_throughput legacy_env = env_rollout(bert, rules, /*use_engine=*/false, 12);
-    const Env_throughput engine_env = env_rollout(bert, rules, /*use_engine=*/true, 12);
+    const Env_throughput engine_env = env_rollout(bert, rules, 12);
 
-    std::printf("\n%-28s %14s %14s %9s\n", "env rollout (bert)", "legacy", "engine", "speedup");
-    std::printf("%-28s %12.1f/s %12.1f/s %8.2fx\n", "steps per second",
-                legacy_env.steps_per_second, engine_env.steps_per_second,
-                engine_env.steps_per_second / legacy_env.steps_per_second);
+    std::printf("\n%-28s %14s\n", "env rollout (bert)", "engine");
+    std::printf("%-28s %12.1f/s\n", "steps per second", engine_env.steps_per_second);
 
     // Per-phase engine timings, straight from the registry histograms the
-    // engine publishes (every generate()/enumerate() above observed them).
+    // engine publishes (every generate() above observed them).
     const char* const phases[] = {"index_build", "match", "dedup", "materialise",
                                   "finalise_rewrite"};
     std::printf("\n%-28s %10s %12s %12s %12s\n", "engine phase", "count", "mean (us)",
@@ -169,9 +159,7 @@ int main(int argc, char** argv)
          << ", \"speedup\": " << legacy_incep_us / engine_incep_us << "}\n"
          << "  },\n"
          << "  \"env_steps_per_second\": {\n"
-         << "    \"bert\": {\"legacy\": " << legacy_env.steps_per_second
-         << ", \"engine\": " << engine_env.steps_per_second
-         << ", \"speedup\": " << engine_env.steps_per_second / legacy_env.steps_per_second
+         << "    \"bert\": {\"engine\": " << engine_env.steps_per_second
          << ", \"steps\": " << engine_env.steps << "}\n"
          << "  },\n"
          << "  \"arena\": {\n"

@@ -33,6 +33,8 @@ struct Taso_result {
     double initial_cost_ms = 0.0;
     double best_cost_ms = 0.0;
     int iterations = 0;
+    /// Candidates the engine returned over all pops: distinct within each
+    /// pop and from the popped graph, but possibly seen at earlier pops.
     int candidates_generated = 0;
     double optimisation_seconds = 0.0;
     bool stopped_early = false;       ///< Heartbeat asked the search to stop.

@@ -3,23 +3,25 @@
 // Every optimisation step in X-RLflow (§3.2) regenerates the candidate set
 // by pattern-matching the whole rule corpus against the current graph, and
 // all four search backends (the RL environment, TASO beam search, the PET
-// wrapper, Tensat's multi-pattern seeding) used to run their own copy of
-// the naive per-rule `apply_all` scan. The engine replaces those loops
-// with one measurably faster pipeline:
+// wrapper, Tensat's multi-pattern seeding) do the same pass. The engine is
+// the one implementation of it, behind one call — generate(host, cap, via):
 //
-//   1. a per-step op-kind index of the host graph (Host_index), built once
-//      and shared by every rule, so root enumeration visits only
-//      kind-compatible nodes;
+//   1. a per-step op-kind index of the host graph (Host_index), shared by
+//      every rule, so root enumeration visits only kind-compatible nodes.
+//      The index persists across calls: pass the previous call's chosen
+//      candidate as `via` and it is patched from that candidate's
+//      Rewrite_delta instead of rebuilt;
 //   2. the undo-log matcher behind find_matches (no per-root state copies);
-//   3. lazy candidates: enumerate() yields lightweight Rewrite_candidate
-//      records with a cheap fingerprint (the matcher's match-site binding
-//      key mixed with the rule id) gating materialisation — the full graph
-//      copy + DCE + shape inference + canonical hash of materialize() run
-//      only for fingerprint-unique records, and never for records beyond a
-//      caller's candidate cap (for pattern rules the matcher already
-//      dedups sites within a rule, so the gate mainly covers the eagerly
-//      built rules below and any future record producers);
-//   4. thread-pool fan-out across rules with deterministic result ordering
+//   3. lazy candidates: matching yields lightweight records with a cheap
+//      fingerprint (the matcher's match-site binding key mixed with the rule
+//      id) gating materialisation — the graph copy + DCE + shape inference +
+//      canonical hash run only for fingerprint-unique records, and never for
+//      records beyond the caller's cap (for pattern rules the matcher
+//      already dedups sites within a rule, so the gate mainly covers the
+//      eagerly built rules below);
+//   4. materialisation into recycled pool slots (apply_match_into), so a
+//      steady-state call allocates ~nothing;
+//   5. thread-pool fan-out across rules with deterministic result ordering
 //      (results are collected into per-rule slots, so the output never
 //      depends on thread scheduling).
 //
@@ -30,8 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -52,14 +52,14 @@ struct Candidate_engine_config {
     /// hardware), 1 = strictly serial, N > 1 = also the shared pool (the
     /// per-rule slot collection makes results order-independent, so a
     /// private width bought nothing but thread churn — engines are
-    /// constructed per optimize call, and the serving layer shares the
-    /// same pool). The result order is identical for every setting.
+    /// constructed per search, and the serving layer shares the same
+    /// pool). The result order is identical for every setting.
     std::size_t threads = 0;
 
-    /// Step mode only: after every incremental Host_index patch, rebuild
-    /// the index from scratch and assert exact equality. On by default in
-    /// debug builds; the A/B gate (test_incremental_index) turns it on
-    /// explicitly in release builds too.
+    /// After every incremental Host_index patch, rebuild the index from
+    /// scratch and assert exact equality. On by default in debug builds;
+    /// the A/B gate (test_incremental_index) turns it on explicitly in
+    /// release builds too.
     bool verify_incremental_index =
 #ifndef NDEBUG
         true;
@@ -68,27 +68,24 @@ struct Candidate_engine_config {
 #endif
 };
 
-/// A candidate discovered but not yet materialised: which rule, where, and
-/// a fingerprint that dedups repeat discoveries before the expensive
-/// apply_match. Non-pattern rules arrive pre-built (see file comment):
-/// either owned (`pre_built`, the public enumerate() API) or as a slot
-/// index into the engine-owned per-rule Graph_batch (`pre_built_slot`,
-/// step mode — the batch outlives the record there).
-struct Rewrite_candidate {
-    std::size_t rule_index = 0;
-    Pattern_match match;              ///< Pattern rules: the match site.
-    std::uint64_t fingerprint = 0;    ///< Cheap pre-materialisation dedup key.
-    std::shared_ptr<Graph> pre_built; ///< Non-pattern rules: the eager result.
-    std::ptrdiff_t pre_built_slot = -1; ///< Step mode: index into the rule's batch.
-};
-
-/// A materialised, canonically-deduplicated candidate.
-struct Engine_candidate {
-    Graph graph;
+/// One candidate of a generation pass: a canonically deduplicated rewrite
+/// of the host. The graph lives in a pool slot owned by the engine (bespoke
+/// rules: in the engine's per-rule batch) and, like the delta, stays valid
+/// until the engine's next generate() call. A caller that keeps a graph may
+/// move it out instead of copying it; the engine refills the slot on the
+/// next call.
+struct Candidate {
+    Graph* graph = nullptr;
     int rule_index = -1;
-    std::uint64_t hash = 0; ///< canonical_hash of `graph`.
+    std::uint64_t hash = 0; ///< canonical_hash of `*graph`.
+    /// How `*graph` differs from the host (for the next call's index
+    /// patch); null for bespoke rules, which cannot report one.
+    const Rewrite_delta* delta = nullptr;
 };
 
+/// A step cursor over one evolving host. Each engine has exactly one owner
+/// (the environment, or the search call that constructed it); it is NOT
+/// thread-safe (see docs/CONCURRENCY.md).
 class Candidate_engine {
 public:
     /// `rules` must outlive the engine.
@@ -96,91 +93,52 @@ public:
 
     const Rule_set& rules() const { return *rules_; }
 
-    /// Enumerate candidate records for `host`: fingerprint-deduped, ordered
-    /// by (rule index, discovery order within the rule) regardless of the
-    /// thread count. No pattern candidate is materialised here.
-    std::vector<Rewrite_candidate> enumerate(const Graph& host) const;
-
-    /// Materialise one record (apply_match for pattern rules). One-shot for
-    /// pre-built records: the stored graph is moved out. Optionally reports
-    /// the result's canonical hash (for pre-built records this reuses the
-    /// fingerprint instead of rehashing).
-    std::optional<Graph> materialize(const Graph& host, Rewrite_candidate& candidate,
-                                     std::uint64_t* hash_out = nullptr) const;
-
-    struct Generated {
-        std::vector<Engine_candidate> candidates;
-        std::size_t enumerated = 0; ///< Records produced by enumerate().
+    /// The result of one generate() call.
+    struct Step {
+        std::vector<Candidate> candidates;
+        std::size_t enumerated = 0; ///< Fingerprint-unique records matched.
         std::size_t truncated = 0;  ///< Records never materialised: cap reached.
     };
 
-    /// enumerate() + materialize() + canonical-hash dedup (against the host
-    /// and against each other) — the exact semantics of the legacy per-rule
-    /// apply_all loop. With `max_total` set, materialisation stops at the
-    /// cap and the remaining records are only counted; without a cap,
-    /// materialisation fans out across the pool.
-    Generated generate(const Graph& host, std::size_t max_total = SIZE_MAX) const;
-
-    /// One candidate of a step-mode generation. The graph lives in a pool
-    /// slot owned by the engine (or, for bespoke rules, in the engine's
-    /// record buffer) and stays valid until the next generate_step() call.
-    struct Step_candidate {
-        const Graph* graph = nullptr;
-        int rule_index = -1;
-        std::uint64_t hash = 0; ///< canonical_hash of `*graph`.
-        /// How `*graph` differs from the host (for the next step's index
-        /// patch); null for bespoke rules, which cannot report one.
-        const Rewrite_delta* delta = nullptr;
-    };
-
-    struct Step_generated {
-        std::vector<Step_candidate> candidates;
-        std::size_t enumerated = 0; ///< Records produced by enumeration.
-        std::size_t truncated = 0;  ///< Records never materialised: cap reached.
-    };
-
-    /// Step mode: generate() for a single-owner caller walking one evolving
-    /// host (the RL environment). Differences from generate():
-    ///   - candidate graphs are materialised into recycled pool slots
-    ///     (apply_match_into), so a steady-state step allocates ~nothing;
-    ///   - the Host_index persists across calls — pass the previous step's
-    ///     chosen candidate as `via` and the index is patched from its
-    ///     Rewrite_delta instead of rebuilt (pass null on the first step,
-    ///     after reset, or when the host changed some other way);
-    ///   - with `via`, the host's canonical hash for self-dedup comes from
-    ///     via->hash instead of being recomputed.
+    /// Every rule applied at every site of `host`, deduplicated by canonical
+    /// hash against the host and against earlier candidates, ordered by
+    /// (rule index, discovery order within the rule) regardless of the
+    /// thread count. Materialisation stops at `max_total` candidates; the
+    /// remaining records are only counted.
+    ///
+    /// `via`: the candidate of the previous call that became `host` — the
+    /// persistent index is patched from its delta and the host's hash taken
+    /// from it. Pass null on the first call, after a reset, or when the host
+    /// changed some other way (the index is then rebuilt). `via` may point
+    /// into the previous result; it is read before any storage is reused.
     /// The returned reference and every candidate in it are invalidated by
-    /// the next generate_step() call; `via` is read before any step storage
-    /// is reused. NOT thread-safe — one owner per engine in step mode (see
-    /// docs/CONCURRENCY.md).
-    const Step_generated& generate_step(const Graph& host, std::size_t max_total = SIZE_MAX,
-                                        const Step_candidate* via = nullptr);
+    /// the next call.
+    const Step& generate(const Graph& host, std::size_t max_total = SIZE_MAX,
+                         const Candidate* via = nullptr);
 
-    /// The persistent step-mode index (null before the first generate_step)
-    /// — exposed for the incremental-vs-rebuild A/B gate.
+    /// The persistent index (null before the first generate) — exposed for
+    /// the incremental-vs-rebuild A/B gate.
     const Host_index* step_index() const { return index_ready_ ? &index_ : nullptr; }
 
-    /// Pool/arena statistics of the step-mode slot pool (bench artifacts).
+    /// Pool/arena statistics of the candidate slot pool (bench artifacts).
     const Pool_stats& step_pool_stats() const { return slot_pool_.stats(); }
     const Arena_stats& step_arena_stats() const { return slot_pool_.arena_stats(); }
 
 private:
-    /// Reusable buffers for one enumeration pass: per-rule result slots,
-    /// the fingerprint-dedup set, and one recycled Graph_batch per bespoke
-    /// rule (their eagerly built candidates land in warm storage). Step
-    /// mode keeps one across calls so a steady-state enumeration allocates
-    /// nothing; bespoke records then reference the batches by slot index.
-    struct Enumerate_scratch {
-        std::vector<std::vector<Rewrite_candidate>> per_rule;
-        std::unordered_set<std::uint64_t> seen;
-        std::vector<Graph_batch> bespoke;
+    /// A candidate matched but not yet materialised: which rule, where, and
+    /// a fingerprint that dedups repeat discoveries before the expensive
+    /// apply_match. Bespoke-rule records reference their eagerly built graph
+    /// by index into the rule's batch instead.
+    struct Record {
+        std::size_t rule_index = 0;
+        Pattern_match match;             ///< Pattern rules: the match site.
+        std::uint64_t fingerprint = 0;   ///< Cheap pre-materialisation dedup key.
+        std::ptrdiff_t batch_slot = -1;  ///< Bespoke rules: index into the rule's batch.
     };
 
-    /// Match + fingerprint-dedup against a caller-provided index, writing
-    /// into `out` (cleared first, capacity reused). Shared by enumerate()
-    /// and generate_step().
-    void enumerate_into(const Graph& host, const Host_index& index, Enumerate_scratch& scratch,
-                        std::vector<Rewrite_candidate>& out) const;
+    /// Match + fingerprint-dedup against index_, filling records_ (capacity
+    /// reused across calls).
+    void match_records(const Graph& host);
 
     /// A recycled materialisation target: the graph and the delta that
     /// turns the host's index into the graph's.
@@ -194,15 +152,19 @@ private:
     std::vector<const Pattern_rule*> pattern_rules_; ///< Per rule; null = generic.
     Thread_pool* pool_ = nullptr; ///< The shared pool; null = serial.
 
-    // Step-mode state (single-owner; untouched by the const API).
     Host_index index_;
     bool index_ready_ = false;
     Pool<Slot> slot_pool_;
-    Enumerate_scratch step_scratch_;
-    std::vector<Slot*> leased_;    ///< Slots backing step_.candidates.
-    std::vector<Rewrite_candidate> step_records_; ///< Keeps bespoke graphs alive.
-    std::unordered_set<std::uint64_t> step_seen_;
-    Step_generated step_;
+    std::vector<Slot*> leased_; ///< Slots backing step_.candidates.
+    /// Per-rule record buckets of the fan-out, merged into records_.
+    std::vector<std::vector<Record>> per_rule_;
+    /// One recycled batch per bespoke rule: their eagerly built candidates
+    /// land in warm storage and stay alive until the next call.
+    std::vector<Graph_batch> bespoke_;
+    std::vector<Record> records_;
+    std::unordered_set<std::uint64_t> fingerprints_seen_;
+    std::unordered_set<std::uint64_t> hashes_seen_;
+    Step step_;
 };
 
 class Histogram;

@@ -38,9 +38,9 @@ std::vector<std::pair<std::uint64_t, int>> engine_candidates(const Graph& host,
                                                              std::size_t per_rule_limit,
                                                              std::size_t threads)
 {
-    const Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, threads});
+    Candidate_engine engine(rules, Candidate_engine_config{per_rule_limit, threads});
     std::vector<std::pair<std::uint64_t, int>> out;
-    for (const Engine_candidate& c : engine.generate(host).candidates)
+    for (const Candidate& c : engine.generate(host).candidates)
         out.emplace_back(c.hash, c.rule_index);
     return out;
 }
@@ -74,86 +74,82 @@ TEST(Candidate_engine, DeterministicAcrossThreadCounts)
     EXPECT_EQ(serial, pooled);
 }
 
-TEST(Candidate_engine, EnumerateIsLazyForPatternRules)
+TEST(Candidate_engine, MaterialisesNoPatternRecordBeyondTheCap)
 {
+    // Matching yields lightweight records; graphs are built only up to the
+    // cap (one pool slot per kept candidate, plus one working slot that
+    // absorbs invalid sites).
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const Candidate_engine engine(rules, Candidate_engine_config{4, 1});
-    int pattern_records = 0;
-    for (const Rewrite_candidate& record : engine.enumerate(bert)) {
-        if (record.pre_built != nullptr) continue; // bespoke rules build eagerly
-        ++pattern_records;
-        EXPECT_FALSE(record.match.node_map.empty());
+    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    const std::size_t cap = 3;
+    const Candidate_engine::Step& step = engine.generate(bert, cap);
+    ASSERT_EQ(step.candidates.size(), cap);
+    EXPECT_GT(step.enumerated, cap + 1);
+    EXPECT_LE(engine.step_pool_stats().high_water_slots, cap + 1);
+    for (const Candidate& c : step.candidates) {
+        if (c.delta == nullptr) continue; // bespoke rules build eagerly
+        EXPECT_TRUE(c.delta->valid);
     }
-    EXPECT_GT(pattern_records, 0);
 }
 
-TEST(Candidate_engine, MaterializeReportsCanonicalHash)
+TEST(Candidate_engine, EveryCandidateCarriesItsCanonicalHash)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const Candidate_engine engine(rules, Candidate_engine_config{4, 1});
-    auto records = engine.enumerate(bert);
-    ASSERT_FALSE(records.empty());
-    int checked = 0;
-    for (Rewrite_candidate& record : records) {
-        std::uint64_t hash = 0;
-        auto graph = engine.materialize(bert, record, &hash);
-        if (!graph.has_value()) continue;
-        EXPECT_EQ(hash, graph->canonical_hash());
-        ++checked;
-    }
-    EXPECT_GT(checked, 0);
+    Candidate_engine engine(rules, Candidate_engine_config{4, 1});
+    const Candidate_engine::Step& step = engine.generate(bert);
+    ASSERT_FALSE(step.candidates.empty());
+    for (const Candidate& c : step.candidates) EXPECT_EQ(c.hash, c.graph->canonical_hash());
 }
 
 TEST(Candidate_engine, TruncatesAtTheCapWithoutMaterialising)
 {
     const Graph bert = make_bert(Scale::smoke, 32);
     const Rule_set rules = standard_rule_corpus();
-    const Candidate_engine engine(rules, Candidate_engine_config{8, 1});
-    const auto full = engine.generate(bert);
-    ASSERT_GT(full.candidates.size(), 2u);
-    const std::size_t cap = full.candidates.size() / 2;
-    const auto capped = engine.generate(bert, cap);
+    Candidate_engine engine(rules, Candidate_engine_config{8, 1});
+    std::vector<std::pair<std::uint64_t, int>> full;
+    for (const Candidate& c : engine.generate(bert).candidates)
+        full.emplace_back(c.hash, c.rule_index);
+    ASSERT_GT(full.size(), 2u);
+    const std::size_t cap = full.size() / 2;
+    const auto& capped = engine.generate(bert, cap);
     EXPECT_EQ(capped.candidates.size(), cap);
     EXPECT_GT(capped.truncated, 0u);
     // The capped prefix is exactly the uncapped set's prefix.
     for (std::size_t i = 0; i < cap; ++i) {
-        EXPECT_EQ(capped.candidates[i].hash, full.candidates[i].hash);
-        EXPECT_EQ(capped.candidates[i].rule_index, full.candidates[i].rule_index);
+        EXPECT_EQ(capped.candidates[i].hash, full[i].first);
+        EXPECT_EQ(capped.candidates[i].rule_index, full[i].second);
     }
 }
 
-TEST(Candidate_engine, EnvironmentCandidatesMatchLegacyPath)
+TEST(Candidate_engine, EnvironmentCandidatesMatchLegacyLoop)
 {
+    // Every step's capped candidate list is the legacy loop's list for the
+    // current graph, truncated at the action-space cap.
     const Graph model = make_bert(Scale::smoke, 16);
     const Rule_set rules = standard_rule_corpus();
-    E2e_simulator sim_a(gtx1080_profile(), 99);
-    E2e_simulator sim_b(gtx1080_profile(), 99);
+    E2e_simulator simulator(gtx1080_profile(), 99);
 
-    Env_config engine_config;
-    engine_config.per_rule_limit = 4;
-    Env_config legacy_config = engine_config;
-    legacy_config.use_candidate_engine = false;
-
-    Environment engine_env(model, rules, sim_a, engine_config);
-    Environment legacy_env(model, rules, sim_b, legacy_config);
+    Env_config config;
+    config.per_rule_limit = 4;
+    Environment env(model, rules, simulator, config);
 
     for (int step = 0; step < 3; ++step) {
-        ASSERT_EQ(engine_env.candidates().size(), legacy_env.candidates().size());
-        for (std::size_t i = 0; i < engine_env.candidates().size(); ++i) {
-            EXPECT_EQ(engine_env.candidates()[i].graph->canonical_hash(),
-                      legacy_env.candidates()[i].graph->canonical_hash());
-            EXPECT_EQ(engine_env.candidates()[i].rule_index,
-                      legacy_env.candidates()[i].rule_index);
+        auto legacy = legacy_candidates(env.current_graph(), rules, config.per_rule_limit);
+        if (legacy.size() > static_cast<std::size_t>(config.max_candidates))
+            legacy.resize(static_cast<std::size_t>(config.max_candidates));
+        ASSERT_EQ(env.candidates().size(), legacy.size());
+        for (std::size_t i = 0; i < env.candidates().size(); ++i) {
+            EXPECT_EQ(env.candidates()[i].graph->canonical_hash(), legacy[i].first);
+            EXPECT_EQ(env.candidates()[i].rule_index, legacy[i].second);
         }
-        if (engine_env.done() || legacy_env.done()) break;
-        engine_env.step(0);
-        legacy_env.step(0);
+        if (env.done()) break;
+        env.step(0);
     }
 }
 
-/// One scripted step-mode rollout: deterministic action picks, recording
+/// One scripted rollout: deterministic action picks, recording
 /// every step's full candidate order as (hash, rule_index) pairs.
 std::vector<std::vector<std::pair<std::uint64_t, int>>> scripted_rollout(const Graph& initial,
                                                                          int steps)
@@ -163,14 +159,14 @@ std::vector<std::vector<std::pair<std::uint64_t, int>>> scripted_rollout(const G
     std::vector<std::vector<std::pair<std::uint64_t, int>>> trace;
 
     Graph host = initial;
-    const Candidate_engine::Step_candidate* via = nullptr;
-    Candidate_engine::Step_candidate chosen;
+    const Candidate* via = nullptr;
+    Candidate chosen;
     std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
     for (int step = 0; step < steps; ++step) {
-        const Candidate_engine::Step_generated& generated = engine.generate_step(host, 32, via);
+        const Candidate_engine::Step& generated = engine.generate(host, 32, via);
         auto& row = trace.emplace_back();
         row.reserve(generated.candidates.size());
-        for (const Candidate_engine::Step_candidate& c : generated.candidates)
+        for (const Candidate& c : generated.candidates)
             row.emplace_back(c.hash, c.rule_index);
         if (generated.candidates.empty()) break;
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -196,12 +192,13 @@ TEST(Candidate_engine, SameRolloutTwiceYieldsIdenticalCandidateOrder)
 TEST(Candidate_engine, HandlesRulelessCorpus)
 {
     const Rule_set empty;
-    const Candidate_engine engine(empty, Candidate_engine_config{4, 1});
+    Candidate_engine engine(empty, Candidate_engine_config{4, 1});
     Graph_builder b;
     const Edge x = b.input({4, 4});
     const Graph host = b.finish({b.relu(x)});
-    EXPECT_TRUE(engine.enumerate(host).empty());
-    EXPECT_TRUE(engine.generate(host).candidates.empty());
+    const Candidate_engine::Step& step = engine.generate(host);
+    EXPECT_EQ(step.enumerated, 0u);
+    EXPECT_TRUE(step.candidates.empty());
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // A/B differential gate for the incremental Host_index.
 //
-// Step mode patches the persistent index from each chosen rewrite's
+// The candidate engine patches its persistent index from each chosen rewrite's
 // Rewrite_delta instead of rebuilding it. These rollouts fuzz that fast
 // path: after *every* rewrite the patched index must be identical to one
 // rebuilt from scratch. Two layers of checking:
@@ -46,12 +46,11 @@ void run_ab_rollout(const Graph& initial, std::uint64_t seed, int steps)
 
     Lcg rng{seed};
     Graph host = initial;
-    const Candidate_engine::Step_candidate* via = nullptr;
-    Candidate_engine::Step_candidate chosen;
+    const Candidate* via = nullptr;
+    Candidate chosen;
     int rewrites = 0;
     for (int step = 0; step < steps; ++step) {
-        const Candidate_engine::Step_generated& generated =
-            engine.generate_step(host, 32, via);
+        const Candidate_engine::Step& generated = engine.generate(host, 32, via);
 
         // External A/B check, independent of the engine's internal verify.
         const Host_index* incremental = engine.step_index();

@@ -2,7 +2,8 @@
 // accuracy against exact nearest-rank, concurrent lock-free updates — this
 // file runs in CI's ThreadSanitizer job — and the Prometheus exposition
 // format pinned by a golden string), the trace plane (span nesting, ring
-// eviction, Chrome trace-event export), and the wire surface end-to-end
+// eviction, Chrome trace-event export), candidate-phase timing of a search
+// backend, and the wire surface end-to-end
 // over loopback: a traced submit's id travels client -> daemon -> router ->
 // shard, and `metrics`/`trace` PDUs read it all back.
 #include <gtest/gtest.h>
@@ -16,10 +17,15 @@
 #include <thread>
 #include <vector>
 
+#include "cost/cost_model.h"
 #include "ir/builder.h"
+#include "models/models.h"
 #include "net/client.h"
 #include "net/daemon.h"
 #include "net/protocol.h"
+#include "optimizers/taso/taso_optimizer.h"
+#include "rules/candidate_engine.h"
+#include "rules/corpus.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -286,6 +292,39 @@ TEST(Trace, ChromeExportIsWellFormed)
     EXPECT_NE(json.find("\"backend\":\"taso\""), std::string::npos);
     // No raw control characters survive into the JSON.
     for (char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x0A);
+}
+
+// ---------------------------------------------------------------------------
+// Candidate-engine phases: every backend's candidate pass is timed
+// ---------------------------------------------------------------------------
+
+TEST(CandidatePhases, TasoSearchIsTimedAndTraced)
+{
+    const Scoped_tracing tracing;
+    Histogram& materialise = candidate_phase_histogram("materialise");
+    const std::uint64_t before = materialise.snapshot().count;
+
+    const Rule_set rules = standard_rule_corpus();
+    const Cost_model cost(gtx1080_profile());
+    Taso_config config;
+    config.budget = 3;
+    const std::uint64_t trace_id = new_trace_id();
+    Taso_result result;
+    {
+        const Trace_scope scope(trace_id, 0);
+        result = optimise_taso(make_bert(Scale::smoke, 16), rules, cost, config);
+    }
+
+    // One candidate pass per queue pop, each observed once.
+    ASSERT_EQ(result.iterations, config.budget);
+    EXPECT_GE(materialise.snapshot().count,
+              before + static_cast<std::uint64_t>(result.iterations));
+    const std::vector<Trace_span> spans = Trace_buffer::global().spans_for(trace_id);
+    const auto materialise_spans =
+        std::count_if(spans.begin(), spans.end(), [](const Trace_span& span) {
+            return span.name == "candidates/materialise";
+        });
+    EXPECT_EQ(materialise_spans, result.iterations);
 }
 
 // ---------------------------------------------------------------------------
