@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 
 #include "core/agent.h"
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "core/xrlflow.h"
 #include "ir/builder.h"
 #include "models/models.h"
 #include "rules/corpus.h"
 #include "support/check.h"
+#include "support/fnv.h"
 
 namespace xrl {
 namespace {
@@ -211,6 +215,77 @@ TEST(Xrlflow, TrainedPolicyTransfersAcrossShapes)
     const Graph other_shape = b.finish({x});
     const Optimisation_outcome outcome = system.optimise(other_shape);
     EXPECT_LE(outcome.final_ms, outcome.initial_ms + 1e-12);
+}
+
+// -- training determinism -----------------------------------------------------
+//
+// The digests below were captured before the tape kernels were rewritten for
+// speed (inlined element access, contiguous broadcast and reduction paths,
+// transpose-free matmul gradients, lazily allocated gradients). Those
+// rewrites keep every output element's summation order, so every float of
+// the forward pass and of training must stay bit-identical; a changed digest
+// means a kernel changed the arithmetic, not just its speed.
+
+std::uint64_t fnv1a_digest(std::string_view bytes)
+{
+    return fnv1a_bytes(fnv1a_offset, bytes);
+}
+
+std::string trained_parameter_bytes(std::uint64_t seed)
+{
+    const Rule_set rules = standard_rule_corpus();
+    Xrlflow_config config;
+    config.seed = seed;
+    config.agent = tiny_agent_config();
+    config.env.max_steps = 6;
+    config.trainer.update_every_episodes = 1;
+    config.trainer.ppo.minibatch_size = 4;
+    config.trainer.ppo.epochs = 2;
+    Xrlflow system(rules, config);
+    system.train(make_squeezenet(Scale::smoke, 16), 2);
+    std::ostringstream os;
+    save_parameters(os, system.agent().parameters());
+    return os.str();
+}
+
+TEST(TrainingDeterminism, SameSeedTrainsToIdenticalParameterBytes)
+{
+    const std::string first = trained_parameter_bytes(3);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, trained_parameter_bytes(3));
+    EXPECT_EQ(fnv1a_digest(first), 0x2456457ca84a18fcULL) << std::hex << fnv1a_digest(first);
+}
+
+TEST(TrainingDeterminism, AgentForwardIsBitPinnedOnInceptionMetaGraph)
+{
+    const Rule_set rules = standard_rule_corpus();
+    E2e_simulator sim(gtx1080_profile(), 11);
+    Env_config env_config;
+    env_config.max_candidates = 31;
+    Environment env(make_inception_v3(Scale::smoke, 192), rules, sim, env_config);
+    std::vector<const Graph*> candidates;
+    for (const Candidate& c : env.candidates()) candidates.push_back(c.graph);
+    ASSERT_EQ(candidates.size(), 31u);
+    const Encoded_graph state = encode_meta_graph(env.current_graph(), candidates);
+
+    Agent_config config;
+    config.gnn.hidden_dim = 16;
+    config.gnn.global_dim = 16;
+    config.gnn.num_gat_layers = 5;
+    config.head_hidden = {64, 32};
+    config.max_candidates = 31;
+    Agent agent(config, 7);
+    Tape tape;
+    const Agent::Forward fwd = agent.forward(tape, state);
+    const Tensor& logits = tape.value(fwd.logits);
+    ASSERT_EQ(logits.shape(), (Shape{32, 1}));
+
+    std::uint64_t logit_bits = fnv1a_offset;
+    for (std::int64_t i = 0; i < logits.volume(); ++i)
+        logit_bits = fnv1a_mix(logit_bits, std::bit_cast<std::uint32_t>(logits.at(i)));
+    EXPECT_EQ(logit_bits, 0x5f617d0c4d6590c8ULL) << std::hex << logit_bits;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(tape.value(fwd.value).at(0)), 0x3eadb5ceU)
+        << std::hex << std::bit_cast<std::uint32_t>(tape.value(fwd.value).at(0));
 }
 
 } // namespace
