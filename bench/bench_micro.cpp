@@ -6,6 +6,7 @@
 #include "core/agent.h"
 #include "cost/cost_model.h"
 #include "cost/e2e_simulator.h"
+#include "env/environment.h"
 #include "gnn/gnn.h"
 #include "ir/builder.h"
 #include "ir/executor.h"
@@ -175,6 +176,37 @@ void BM_gnn_forward_backward_bert(benchmark::State& state)
     }
 }
 BENCHMARK(BM_gnn_forward_backward_bert);
+
+// The shape PPO training runs: one taped Agent forward and backward over a
+// smoke InceptionV3 meta-graph of the host plus 31 candidates, with the
+// smoke-bench agent (hidden 16, 5 GAT layers, heads {64, 32}).
+void BM_agent_forward_backward_inception(benchmark::State& state)
+{
+    const Rule_set rules = standard_rule_corpus();
+    E2e_simulator sim(gtx1080_profile(), 11);
+    Env_config env_config;
+    env_config.max_candidates = 31;
+    const Environment env(inception(), rules, sim, env_config);
+    std::vector<const Graph*> candidates;
+    for (const Candidate& c : env.candidates()) candidates.push_back(c.graph);
+    const Encoded_graph enc = encode_meta_graph(env.current_graph(), candidates);
+
+    Agent_config config;
+    config.gnn.hidden_dim = 16;
+    config.gnn.global_dim = 16;
+    config.gnn.num_gat_layers = 5;
+    config.head_hidden = {64, 32};
+    config.max_candidates = 31;
+    Agent agent(config, 7);
+    for (auto _ : state) {
+        Tape tape;
+        const Agent::Forward fwd = agent.forward(tape, enc);
+        tape.backward(tape.add(tape.sum_all(fwd.logits), fwd.value));
+        benchmark::DoNotOptimize(fwd);
+    }
+    state.counters["candidates"] = static_cast<double>(candidates.size());
+}
+BENCHMARK(BM_agent_forward_backward_inception)->Unit(benchmark::kMillisecond);
 
 void BM_reference_executor_dense(benchmark::State& state)
 {

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "support/check.h"
 #include "support/logging.h"
+#include "support/metrics.h"
 
 namespace xrl {
 
@@ -17,6 +19,14 @@ const Encoded_graph& encode_state(Meta_encoder& encoder, std::vector<const Graph
     candidate_ptrs.reserve(env.candidates().size());
     for (const Candidate& c : env.candidates()) candidate_ptrs.push_back(c.graph);
     return encoder.encode(env.current_graph(), candidate_ptrs);
+}
+
+/// PPO update phases share the rollout family; histograms only, no spans
+/// (trace consumers file unknown rollout/* spans under serving).
+Histogram& update_phase_histogram(const char* phase)
+{
+    return Metrics_registry::global().histogram("xrlflow_rollout_phase_us", "RL rollout time by phase",
+                                                duration_us_buckets(), {{"phase", phase}});
 }
 
 } // namespace
@@ -90,6 +100,10 @@ int Trainer::train(int episodes)
 
 void Trainer::update()
 {
+    static Histogram& forward_histogram = update_phase_histogram("ppo_forward");
+    static Histogram& backward_histogram = update_phase_histogram("ppo_backward");
+    static Histogram& adam_histogram = update_phase_histogram("adam_step");
+
     const std::size_t n = buffer_.size();
     std::vector<double> rewards(n);
     std::vector<double> values(n);
@@ -116,6 +130,8 @@ void Trainer::update()
                 std::min(begin + static_cast<std::size_t>(config_.ppo.minibatch_size), n);
             const auto batch = static_cast<float>(end - begin);
 
+            // Each emplace() closes the running phase's timer and starts the next.
+            std::optional<Scoped_timer_us> phase(std::in_place, forward_histogram);
             Tape tape;
             Var total_loss = tape.constant(Tensor(Shape{1, 1}));
             double policy_loss_value = 0.0;
@@ -160,8 +176,11 @@ void Trainer::update()
             }
 
             const Var loss = tape.scale(total_loss, 1.0F / batch);
+            phase.emplace(backward_histogram);
             tape.backward(loss);
+            phase.emplace(adam_histogram);
             adam_.step();
+            phase.reset();
 
             totals.mean_policy_loss += policy_loss_value / batch;
             totals.mean_value_loss += value_loss_value / batch;

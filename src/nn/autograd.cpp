@@ -11,23 +11,6 @@ namespace xrl {
 
 namespace {
 
-/// Sum `grad` down to `shape` (inverse of NumPy broadcasting).
-Tensor reduce_to_shape(const Tensor& grad, const Shape& shape)
-{
-    if (grad.shape() == shape) return grad;
-    Tensor current = grad;
-    // Collapse extra leading axes.
-    while (current.rank() > static_cast<std::int64_t>(shape.size()))
-        current = reduce_sum(current, 0, /*keep_dim=*/false);
-    // Sum axes broadcast from extent 1.
-    for (std::int64_t axis = 0; axis < current.rank(); ++axis) {
-        if (shape[static_cast<std::size_t>(axis)] == 1 && current.dim(axis) != 1)
-            current = reduce_sum(current, axis, /*keep_dim=*/true);
-    }
-    XRL_ENSURES(current.shape() == shape);
-    return current;
-}
-
 void accumulate(Tensor& into, const Tensor& delta)
 {
     XRL_EXPECTS(into.shape() == delta.shape());
@@ -36,12 +19,32 @@ void accumulate(Tensor& into, const Tensor& delta)
     for (std::int64_t i = 0; i < into.volume(); ++i) dst[i] += src[i];
 }
 
+/// Add `grad` into `into`, first summing it down to into's shape (the
+/// inverse of NumPy broadcasting): extra leading axes, then each axis
+/// broadcast from extent 1, in ascending order.
+void accumulate_reduced(Tensor& into, const Tensor& grad)
+{
+    const Shape& shape = into.shape();
+    Tensor reduced;
+    const Tensor* current = &grad;
+    while (current->rank() > static_cast<std::int64_t>(shape.size())) {
+        reduced = reduce_sum(*current, 0, /*keep_dim=*/false);
+        current = &reduced;
+    }
+    for (std::int64_t axis = 0; axis < current->rank(); ++axis) {
+        if (shape[static_cast<std::size_t>(axis)] == 1 && current->dim(axis) != 1) {
+            reduced = reduce_sum(*current, axis, /*keep_dim=*/true);
+            current = &reduced;
+        }
+    }
+    accumulate(into, *current);
+}
+
 } // namespace
 
 Var Tape::push(Tensor value, std::function<void()> backprop, Parameter* parameter)
 {
     Node n;
-    n.grad = Tensor(value.shape());
     n.value = std::move(value);
     n.backprop = std::move(backprop);
     n.parameter = parameter;
@@ -68,7 +71,8 @@ const Tensor& Tape::value(Var v) const
 
 const Tensor& Tape::grad(Var v) const
 {
-    return node(v).grad;
+    XRL_EXPECTS(v.valid() && static_cast<std::size_t>(v.index) < grads_);
+    return nodes_[static_cast<std::size_t>(v.index)].grad;
 }
 
 Var Tape::constant(Tensor value)
@@ -95,10 +99,8 @@ Var Tape::add(Var a, Var b)
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   reduce_to_shape(g, nodes_[static_cast<std::size_t>(ia)].value.shape()));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad,
-                   reduce_to_shape(g, nodes_[static_cast<std::size_t>(ib)].value.shape()));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, g);
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, g);
     };
     return out;
 }
@@ -111,10 +113,8 @@ Var Tape::sub(Var a, Var b)
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   reduce_to_shape(g, nodes_[static_cast<std::size_t>(ia)].value.shape()));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad,
-                   reduce_to_shape(xrl::scale(g, -1.0F), nodes_[static_cast<std::size_t>(ib)].value.shape()));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, g);
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, xrl::scale(g, -1.0F));
     };
     return out;
 }
@@ -129,10 +129,8 @@ Var Tape::mul(Var a, Var b)
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
         const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
         const Tensor& vb = nodes_[static_cast<std::size_t>(ib)].value;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   reduce_to_shape(xrl::mul(g, vb), va.shape()));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad,
-                   reduce_to_shape(xrl::mul(g, va), vb.shape()));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ia)].grad, xrl::mul(g, vb));
+        accumulate_reduced(nodes_[static_cast<std::size_t>(ib)].grad, xrl::mul(g, va));
     };
     return out;
 }
@@ -143,8 +141,9 @@ Var Tape::scale(Var a, float factor)
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, factor] {
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad,
-                   xrl::scale(nodes_[static_cast<std::size_t>(io)].grad, factor));
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += factor * g[i];
     };
     return out;
 }
@@ -160,8 +159,10 @@ Var Tape::matmul(Var a, Var b)
         const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
         const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
         const Tensor& vb = nodes_[static_cast<std::size_t>(ib)].value;
+        // dA = g·Bᵀ (B is the small weight side) and dB = Aᵀ·g, each with
+        // the accumulation order of matmul over the explicit transpose.
         accumulate(nodes_[static_cast<std::size_t>(ia)].grad, xrl::matmul(g, transpose_last2(vb)));
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, xrl::matmul(transpose_last2(va), g));
+        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, matmul_at_b(va, g));
     };
     return out;
 }
@@ -172,12 +173,10 @@ Var Tape::relu(Var a)
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
-        Tensor delta(va.shape());
-        for (std::int64_t i = 0; i < va.volume(); ++i)
-            delta.at(i) = va.at(i) > 0.0F ? g.at(i) : 0.0F;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* va = nodes_[static_cast<std::size_t>(ia)].value.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += va[i] > 0.0F ? g[i] : 0.0F;
     };
     return out;
 }
@@ -188,12 +187,11 @@ Var Tape::leaky_relu(Var a, float slope)
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, slope] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va = nodes_[static_cast<std::size_t>(ia)].value;
-        Tensor delta(va.shape());
-        for (std::int64_t i = 0; i < va.volume(); ++i)
-            delta.at(i) = va.at(i) > 0.0F ? g.at(i) : slope * g.at(i);
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* va = nodes_[static_cast<std::size_t>(ia)].value.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i)
+            ga.data()[i] += va[i] > 0.0F ? g[i] : slope * g[i];
     };
     return out;
 }
@@ -204,12 +202,10 @@ Var Tape::tanh(Var a)
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& y = nodes_[static_cast<std::size_t>(io)].value;
-        Tensor delta(y.shape());
-        for (std::int64_t i = 0; i < y.volume(); ++i)
-            delta.at(i) = g.at(i) * (1.0F - y.at(i) * y.at(i));
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* y = nodes_[static_cast<std::size_t>(io)].value.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += g[i] * (1.0F - y[i] * y[i]);
     };
     return out;
 }
@@ -220,9 +216,10 @@ Var Tape::exp(Var a)
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& y = nodes_[static_cast<std::size_t>(io)].value;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, xrl::mul(g, y));
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* y = nodes_[static_cast<std::size_t>(io)].value.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += g[i] * y[i];
     };
     return out;
 }
@@ -232,18 +229,17 @@ Var Tape::log(Var a)
     const Tensor& va = value(a);
     Tensor out_value(va.shape());
     for (std::int64_t i = 0; i < va.volume(); ++i) {
-        XRL_EXPECTS(va.at(i) > 0.0F);
-        out_value.at(i) = std::log(va.at(i));
+        XRL_EXPECTS(va.data()[i] > 0.0F);
+        out_value.data()[i] = std::log(va.data()[i]);
     }
     const Var out = push(std::move(out_value));
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va2 = nodes_[static_cast<std::size_t>(ia)].value;
-        Tensor delta(va2.shape());
-        for (std::int64_t i = 0; i < va2.volume(); ++i) delta.at(i) = g.at(i) / va2.at(i);
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* va2 = nodes_[static_cast<std::size_t>(ia)].value.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += g[i] / va2[i];
     };
     return out;
 }
@@ -254,25 +250,20 @@ Var Tape::minimum(Var a, Var b)
     const Tensor& vb = value(b);
     XRL_EXPECTS(va.shape() == vb.shape());
     Tensor out_value(va.shape());
-    for (std::int64_t i = 0; i < va.volume(); ++i) out_value.at(i) = std::min(va.at(i), vb.at(i));
+    for (std::int64_t i = 0; i < va.volume(); ++i)
+        out_value.data()[i] = std::min(va.data()[i], vb.data()[i]);
     const Var out = push(std::move(out_value));
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
     node(out).backprop = [this, ia, ib, io] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va2 = nodes_[static_cast<std::size_t>(ia)].value;
-        const Tensor& vb2 = nodes_[static_cast<std::size_t>(ib)].value;
-        Tensor da(va2.shape());
-        Tensor db(vb2.shape());
-        for (std::int64_t i = 0; i < va2.volume(); ++i) {
-            if (va2.at(i) <= vb2.at(i))
-                da.at(i) = g.at(i);
-            else
-                db.at(i) = g.at(i);
-        }
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, da);
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, db);
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* va2 = nodes_[static_cast<std::size_t>(ia)].value.data();
+        const float* vb2 = nodes_[static_cast<std::size_t>(ib)].value.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        Tensor& gb = nodes_[static_cast<std::size_t>(ib)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += va2[i] <= vb2[i] ? g[i] : 0.0F;
+        for (std::int64_t i = 0; i < gb.volume(); ++i) gb.data()[i] += va2[i] <= vb2[i] ? 0.0F : g[i];
     };
     return out;
 }
@@ -282,17 +273,16 @@ Var Tape::clamp(Var a, float lo, float hi)
     const Tensor& va = value(a);
     Tensor out_value(va.shape());
     for (std::int64_t i = 0; i < va.volume(); ++i)
-        out_value.at(i) = std::clamp(va.at(i), lo, hi);
+        out_value.data()[i] = std::clamp(va.data()[i], lo, hi);
     const Var out = push(std::move(out_value));
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, lo, hi] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& va2 = nodes_[static_cast<std::size_t>(ia)].value;
-        Tensor delta(va2.shape());
-        for (std::int64_t i = 0; i < va2.volume(); ++i)
-            delta.at(i) = (va2.at(i) >= lo && va2.at(i) <= hi) ? g.at(i) : 0.0F;
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* va2 = nodes_[static_cast<std::size_t>(ia)].value.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i)
+            ga.data()[i] += (va2[i] >= lo && va2[i] <= hi) ? g[i] : 0.0F;
     };
     return out;
 }
@@ -302,19 +292,28 @@ Var Tape::concat_cols(Var a, Var b)
     const Tensor& va = value(a);
     const Tensor& vb = value(b);
     XRL_EXPECTS(va.rank() == 2 && vb.rank() == 2 && va.dim(0) == vb.dim(0));
-    // Sizes must be read before push(): pushing may reallocate the node
-    // storage and invalidate va/vb.
+    const std::int64_t rows = va.dim(0);
     const std::int64_t ca = va.dim(1);
     const std::int64_t cb = vb.dim(1);
-    const Var out = push(concat({va, vb}, 1));
+    const std::int64_t width = ca + cb;
+    Tensor out_value(Shape{rows, width});
+    for (std::int64_t r = 0; r < rows; ++r) {
+        std::copy(va.data() + r * ca, va.data() + (r + 1) * ca, out_value.data() + r * width);
+        std::copy(vb.data() + r * cb, vb.data() + (r + 1) * cb, out_value.data() + r * width + ca);
+    }
+    // push() may reallocate the node storage: va/vb are dead from here on.
+    const Var out = push(std::move(out_value));
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
-    node(out).backprop = [this, ia, ib, io, ca, cb] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const auto parts = split(g, 1, {ca, cb});
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, parts[0]);
-        accumulate(nodes_[static_cast<std::size_t>(ib)].grad, parts[1]);
+    node(out).backprop = [this, ia, ib, io, rows, ca, cb, width] {
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        float* ga = nodes_[static_cast<std::size_t>(ia)].grad.data();
+        for (std::int64_t r = 0; r < rows; ++r)
+            for (std::int64_t c = 0; c < ca; ++c) ga[r * ca + c] += g[r * width + c];
+        float* gb = nodes_[static_cast<std::size_t>(ib)].grad.data();
+        for (std::int64_t r = 0; r < rows; ++r)
+            for (std::int64_t c = 0; c < cb; ++c) gb[r * cb + c] += g[r * width + ca + c];
     };
     return out;
 }
@@ -324,18 +323,21 @@ Var Tape::concat_rows(Var a, Var b)
     const Tensor& va = value(a);
     const Tensor& vb = value(b);
     XRL_EXPECTS(va.rank() == 2 && vb.rank() == 2 && va.dim(1) == vb.dim(1));
-    // Read sizes before push() (reallocation invalidates va/vb).
-    const std::int64_t ra = va.dim(0);
-    const std::int64_t rb = vb.dim(0);
-    const Var out = push(concat({va, vb}, 0));
+    const std::int64_t size_a = va.volume();
+    Tensor out_value(Shape{va.dim(0) + vb.dim(0), va.dim(1)});
+    std::copy(va.data(), va.data() + size_a, out_value.data());
+    std::copy(vb.data(), vb.data() + vb.volume(), out_value.data() + size_a);
+    // push() may reallocate the node storage: va/vb are dead from here on.
+    const Var out = push(std::move(out_value));
     const int ia = a.index;
     const int ib = b.index;
     const int io = out.index;
-    node(out).backprop = [this, ia, ib, io, ra, rb] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const auto parts = split(g, 0, {ra, rb});
-        if (ra > 0) accumulate(nodes_[static_cast<std::size_t>(ia)].grad, parts[0]);
-        if (rb > 0) accumulate(nodes_[static_cast<std::size_t>(ib)].grad, parts[1]);
+    node(out).backprop = [this, ia, ib, io, size_a] {
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += g[i];
+        Tensor& gb = nodes_[static_cast<std::size_t>(ib)].grad;
+        for (std::int64_t i = 0; i < gb.volume(); ++i) gb.data()[i] += g[size_a + i];
     };
     return out;
 }
@@ -399,41 +401,39 @@ Var Tape::segment_softmax(Var scores, std::vector<std::int64_t> segments, std::i
     const Tensor& vs = value(scores);
     XRL_EXPECTS(vs.rank() == 2 && vs.dim(1) == 1);
     XRL_EXPECTS(static_cast<std::int64_t>(segments.size()) == vs.dim(0));
+    const float* x = vs.data();
 
     std::vector<float> seg_max(static_cast<std::size_t>(num_segments),
                                -std::numeric_limits<float>::infinity());
-    for (std::size_t r = 0; r < segments.size(); ++r)
-        seg_max[static_cast<std::size_t>(segments[r])] =
-            std::max(seg_max[static_cast<std::size_t>(segments[r])], vs.at(static_cast<std::int64_t>(r)));
+    for (std::size_t r = 0; r < segments.size(); ++r) {
+        XRL_EXPECTS(segments[r] >= 0 && segments[r] < num_segments);
+        float& m = seg_max[static_cast<std::size_t>(segments[r])];
+        m = std::max(m, x[r]);
+    }
 
     Tensor out_value(vs.shape());
+    float* y = out_value.data();
     std::vector<float> seg_sum(static_cast<std::size_t>(num_segments), 0.0F);
     for (std::size_t r = 0; r < segments.size(); ++r) {
-        const float e = std::exp(vs.at(static_cast<std::int64_t>(r)) -
-                                 seg_max[static_cast<std::size_t>(segments[r])]);
-        out_value.at(static_cast<std::int64_t>(r)) = e;
-        seg_sum[static_cast<std::size_t>(segments[r])] += e;
+        const auto s = static_cast<std::size_t>(segments[r]);
+        y[r] = std::exp(x[r] - seg_max[s]);
+        seg_sum[s] += y[r];
     }
-    for (std::size_t r = 0; r < segments.size(); ++r)
-        out_value.at(static_cast<std::int64_t>(r)) /= seg_sum[static_cast<std::size_t>(segments[r])];
+    for (std::size_t r = 0; r < segments.size(); ++r) y[r] /= seg_sum[static_cast<std::size_t>(segments[r])];
 
     const Var out = push(std::move(out_value));
     const int ia = scores.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io, segments = std::move(segments), num_segments] {
-        const Tensor& g = nodes_[static_cast<std::size_t>(io)].grad;
-        const Tensor& y = nodes_[static_cast<std::size_t>(io)].value;
+        const float* g = nodes_[static_cast<std::size_t>(io)].grad.data();
+        const float* y2 = nodes_[static_cast<std::size_t>(io)].value.data();
         // grad_x = y * (g - sum_seg(g*y))
         std::vector<float> seg_dot(static_cast<std::size_t>(num_segments), 0.0F);
         for (std::size_t r = 0; r < segments.size(); ++r)
-            seg_dot[static_cast<std::size_t>(segments[r])] +=
-                g.at(static_cast<std::int64_t>(r)) * y.at(static_cast<std::int64_t>(r));
-        Tensor delta(y.shape());
+            seg_dot[static_cast<std::size_t>(segments[r])] += g[r] * y2[r];
+        float* ga = nodes_[static_cast<std::size_t>(ia)].grad.data();
         for (std::size_t r = 0; r < segments.size(); ++r)
-            delta.at(static_cast<std::int64_t>(r)) =
-                y.at(static_cast<std::int64_t>(r)) *
-                (g.at(static_cast<std::int64_t>(r)) - seg_dot[static_cast<std::size_t>(segments[r])]);
-        accumulate(nodes_[static_cast<std::size_t>(ia)].grad, delta);
+            ga[r] += y2[r] * (g[r] - seg_dot[static_cast<std::size_t>(segments[r])]);
     };
     return out;
 }
@@ -442,14 +442,14 @@ Var Tape::sum_all(Var a)
 {
     const Tensor& va = value(a);
     float total = 0.0F;
-    for (std::int64_t i = 0; i < va.volume(); ++i) total += va.at(i);
+    for (std::int64_t i = 0; i < va.volume(); ++i) total += va.data()[i];
     const Var out = push(Tensor(Shape{1, 1}, {total}));
     const int ia = a.index;
     const int io = out.index;
     node(out).backprop = [this, ia, io] {
         const float g = nodes_[static_cast<std::size_t>(io)].grad.at(0);
         Tensor& ga = nodes_[static_cast<std::size_t>(ia)].grad;
-        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.at(i) += g;
+        for (std::int64_t i = 0; i < ga.volume(); ++i) ga.data()[i] += g;
     };
     return out;
 }
@@ -476,9 +476,11 @@ Var Tape::pick(Var a, std::int64_t flat_index)
 
 void Tape::backward(Var loss)
 {
-    Node& l = node(loss);
-    XRL_EXPECTS(l.value.volume() == 1);
-    l.grad.at(0) = 1.0F;
+    XRL_EXPECTS(node(loss).value.volume() == 1);
+    // Gradient buffers exist only once a backward pass needs them, so a
+    // forward-only tape (Agent::act) allocates none.
+    for (; grads_ < nodes_.size(); ++grads_) nodes_[grads_].grad = Tensor(nodes_[grads_].value.shape());
+    node(loss).grad.at(0) = 1.0F;
     for (int i = loss.index; i >= 0; --i) {
         auto& n = nodes_[static_cast<std::size_t>(i)];
         if (n.backprop) n.backprop();

@@ -4,7 +4,8 @@
 // closure on a per-forward-pass tape; Tape::backward() sweeps the tape in
 // reverse. Parameters live outside the tape and accumulate gradients
 // across calls, so one optimiser step can consume several forward passes
-// (PPO minibatches).
+// (PPO minibatches). Gradient buffers are allocated by backward(), so a
+// forward-only tape (inference) costs only its values.
 //
 // The op set is exactly what the GNN encoder (Eqs. 6-8) and the PPO losses
 // (Eqs. 3-5) need: dense matmul, broadcasted elementwise arithmetic, row
@@ -102,6 +103,9 @@ public:
     // -- access ---------------------------------------------------------------
 
     const Tensor& value(Var v) const;
+
+    /// Gradient of the loss w.r.t. `v`; throws Contract_violation before
+    /// backward() has run (gradients are allocated lazily).
     const Tensor& grad(Var v) const;
     std::size_t size() const { return nodes_.size(); }
 
@@ -111,7 +115,7 @@ public:
 private:
     struct Node {
         Tensor value;
-        Tensor grad;
+        Tensor grad; // empty until backward()
         std::function<void()> backprop; // may be empty (leaves)
         Parameter* parameter = nullptr;
     };
@@ -121,6 +125,7 @@ private:
     const Node& node(Var v) const;
 
     std::vector<Node> nodes_;
+    std::size_t grads_ = 0; ///< Leading nodes whose gradient is allocated.
 };
 
 } // namespace xrl

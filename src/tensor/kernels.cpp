@@ -44,6 +44,16 @@ void advance_index(std::vector<std::int64_t>& index, const Shape& shape)
     }
 }
 
+// matmul skips a zero lhs entry, so 0 * inf adds nothing instead of NaN.
+// Adding +0.0 in its place is the same, bit for bit, for an accumulator
+// that starts at +0.0: such a sum can never become -0.0, and x + 0.0 == x
+// for every other x. The select compiles without a branch, which matters
+// when the lhs is a ReLU output with zeros in no predictable pattern.
+inline float zero_skipped_product(float av, float bv)
+{
+    return av == 0.0F ? 0.0F : av * bv;
+}
+
 } // namespace
 
 Shape broadcast_shapes(const Shape& a, const Shape& b)
@@ -54,18 +64,53 @@ Shape broadcast_shapes(const Shape& a, const Shape& b)
         const std::int64_t da = i < rank - a.size() ? 1 : a[i - (rank - a.size())];
         const std::int64_t db = i < rank - b.size() ? 1 : b[i - (rank - b.size())];
         XRL_EXPECTS(da == db || da == 1 || db == 1);
-        out[i] = std::max(da, db);
+        out[i] = da == 1 ? db : da; // an extent of 0 broadcasts against 1 to 0
     }
     return out;
 }
 
-Tensor ewise_binary(const Tensor& a, const Tensor& b, const std::function<float(float, float)>& f)
+namespace {
+
+// Elementwise kernels are templated on their functor so the per-element call
+// inlines; the std::function overloads below wrap them for the executor.
+//
+// Same-shape operands and the broadcasts the tape issues — a rank-2 left
+// operand with a (1,n) row, (m,1) column or single-element right operand —
+// run as contiguous loops. Every other broadcast takes the strided walk.
+template <typename F>
+Tensor binary_kernel(const Tensor& a, const Tensor& b, F f)
 {
     const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
     Tensor out(out_shape);
-    if (a.shape() == b.shape()) { // fast path, no broadcast bookkeeping
-        for (std::int64_t i = 0; i < out.volume(); ++i) out.at(i) = f(a.at(i), b.at(i));
+    float* o = out.data();
+    const float* pa = a.data();
+    const float* pb = b.data();
+    if (a.shape() == b.shape()) {
+        for (std::int64_t i = 0; i < out.volume(); ++i) o[i] = f(pa[i], pb[i]);
         return out;
+    }
+    if (a.rank() == 2 && b.rank() <= 2 && out_shape == a.shape()) {
+        const std::int64_t m = a.dim(0);
+        const std::int64_t n = a.dim(1);
+        const std::int64_t bm = b.rank() == 2 ? b.dim(0) : 1;
+        const std::int64_t bn = b.rank() >= 1 ? b.dim(b.rank() - 1) : 1;
+        if (bm == 1 && bn == 1) {
+            const float y = pb[0];
+            for (std::int64_t i = 0; i < m * n; ++i) o[i] = f(pa[i], y);
+            return out;
+        }
+        if (bm == 1) { // (1,n) row
+            for (std::int64_t i = 0; i < m; ++i)
+                for (std::int64_t j = 0; j < n; ++j) o[i * n + j] = f(pa[i * n + j], pb[j]);
+            return out;
+        }
+        if (bn == 1) { // (m,1) column
+            for (std::int64_t i = 0; i < m; ++i) {
+                const float y = pb[i];
+                for (std::int64_t j = 0; j < n; ++j) o[i * n + j] = f(pa[i * n + j], y);
+            }
+            return out;
+        }
     }
     const auto sa = strides_of(a.shape());
     const auto sb = strides_of(b.shape());
@@ -73,51 +118,66 @@ Tensor ewise_binary(const Tensor& a, const Tensor& b, const std::function<float(
     for (std::int64_t flat = 0; flat < out.volume(); ++flat) {
         const std::int64_t ia = broadcast_flat_index(a.shape(), sa, index, out_shape.size());
         const std::int64_t ib = broadcast_flat_index(b.shape(), sb, index, out_shape.size());
-        out.at(flat) = f(a.at(ia), b.at(ib));
+        o[flat] = f(pa[ia], pb[ib]);
         advance_index(index, out_shape);
     }
     return out;
 }
 
-Tensor add(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x + y; }); }
-Tensor sub(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x - y; }); }
-Tensor mul(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x * y; }); }
-Tensor div(const Tensor& a, const Tensor& b) { return ewise_binary(a, b, [](float x, float y) { return x / y; }); }
-
-Tensor ewise_unary(const Tensor& a, const std::function<float(float)>& f)
+template <typename F>
+Tensor unary_kernel(const Tensor& a, F f)
 {
     Tensor out(a.shape());
-    for (std::int64_t i = 0; i < a.volume(); ++i) out.at(i) = f(a.at(i));
+    float* o = out.data();
+    const float* pa = a.data();
+    for (std::int64_t i = 0; i < a.volume(); ++i) o[i] = f(pa[i]);
     return out;
 }
 
-Tensor relu(const Tensor& a) { return ewise_unary(a, [](float x) { return x > 0.0F ? x : 0.0F; }); }
+} // namespace
+
+Tensor ewise_binary(const Tensor& a, const Tensor& b, const std::function<float(float, float)>& f)
+{
+    return binary_kernel(a, b, f);
+}
+
+Tensor add(const Tensor& a, const Tensor& b) { return binary_kernel(a, b, [](float x, float y) { return x + y; }); }
+Tensor sub(const Tensor& a, const Tensor& b) { return binary_kernel(a, b, [](float x, float y) { return x - y; }); }
+Tensor mul(const Tensor& a, const Tensor& b) { return binary_kernel(a, b, [](float x, float y) { return x * y; }); }
+Tensor div(const Tensor& a, const Tensor& b) { return binary_kernel(a, b, [](float x, float y) { return x / y; }); }
+
+Tensor ewise_unary(const Tensor& a, const std::function<float(float)>& f)
+{
+    return unary_kernel(a, f);
+}
+
+Tensor relu(const Tensor& a) { return unary_kernel(a, [](float x) { return x > 0.0F ? x : 0.0F; }); }
 
 Tensor leaky_relu(const Tensor& a, float negative_slope)
 {
-    return ewise_unary(a, [negative_slope](float x) { return x > 0.0F ? x : negative_slope * x; });
+    return unary_kernel(a, [negative_slope](float x) { return x > 0.0F ? x : negative_slope * x; });
 }
 
 Tensor gelu(const Tensor& a)
 {
-    return ewise_unary(a, [](float x) {
+    return unary_kernel(a, [](float x) {
         return 0.5F * x * (1.0F + std::erf(x / 1.41421356237F));
     });
 }
 
 Tensor sigmoid(const Tensor& a)
 {
-    return ewise_unary(a, [](float x) { return 1.0F / (1.0F + std::exp(-x)); });
+    return unary_kernel(a, [](float x) { return 1.0F / (1.0F + std::exp(-x)); });
 }
 
-Tensor tanh_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::tanh(x); }); }
-Tensor exp_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::exp(x); }); }
-Tensor sqrt_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::sqrt(x); }); }
-Tensor erf_op(const Tensor& a) { return ewise_unary(a, [](float x) { return std::erf(x); }); }
+Tensor tanh_op(const Tensor& a) { return unary_kernel(a, [](float x) { return std::tanh(x); }); }
+Tensor exp_op(const Tensor& a) { return unary_kernel(a, [](float x) { return std::exp(x); }); }
+Tensor sqrt_op(const Tensor& a) { return unary_kernel(a, [](float x) { return std::sqrt(x); }); }
+Tensor erf_op(const Tensor& a) { return unary_kernel(a, [](float x) { return std::erf(x); }); }
 
 Tensor scale(const Tensor& a, float factor)
 {
-    return ewise_unary(a, [factor](float x) { return factor * x; });
+    return unary_kernel(a, [factor](float x) { return factor * x; });
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b)
@@ -129,9 +189,21 @@ Tensor matmul(const Tensor& a, const Tensor& b)
         XRL_EXPECTS(b.dim(0) == k);
         const std::int64_t n = b.dim(1);
         Tensor out(Shape{m, n});
+        const float* pa = a.data();
+        if (n == 1) { // matrix-vector: GAT attention scores
+            for (std::int64_t i = 0; i < m; ++i) {
+                float acc = 0.0F;
+                for (std::int64_t kk = 0; kk < k; ++kk) {
+                    const float av = pa[i * k + kk];
+                    acc += zero_skipped_product(av, b.data()[kk]);
+                }
+                out.data()[i] = acc;
+            }
+            return out;
+        }
         for (std::int64_t i = 0; i < m; ++i) {
             for (std::int64_t kk = 0; kk < k; ++kk) {
-                const float av = a.at(i * k + kk);
+                const float av = pa[i * k + kk];
                 if (av == 0.0F) continue;
                 const float* brow = b.data() + kk * n;
                 float* orow = out.data() + i * n;
@@ -173,6 +245,33 @@ Tensor matmul(const Tensor& a, const Tensor& b)
     return out;
 }
 
+Tensor matmul_at_b(const Tensor& a, const Tensor& b)
+{
+    XRL_EXPECTS(a.rank() == 2 && b.rank() == 2);
+    const std::int64_t m = a.dim(0);
+    const std::int64_t k = a.dim(1);
+    XRL_EXPECTS(b.dim(0) == m);
+    const std::int64_t n = b.dim(1);
+    Tensor out(Shape{k, n});
+    const float* pa = a.data();
+    if (n == 1) { // gradient of a matrix-vector product's vector
+        for (std::int64_t i = 0; i < m; ++i)
+            for (std::int64_t kk = 0; kk < k; ++kk)
+                out.data()[kk] += zero_skipped_product(pa[i * k + kk], b.data()[i]);
+        return out;
+    }
+    for (std::int64_t i = 0; i < m; ++i) {
+        const float* brow = b.data() + i * n;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+            const float av = pa[i * k + kk];
+            if (av == 0.0F) continue;
+            float* orow = out.data() + kk * n;
+            for (std::int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+        }
+    }
+    return out;
+}
+
 Tensor transpose(const Tensor& a, const std::vector<std::int64_t>& perm)
 {
     XRL_EXPECTS(static_cast<std::int64_t>(perm.size()) == a.rank());
@@ -180,6 +279,13 @@ Tensor transpose(const Tensor& a, const std::vector<std::int64_t>& perm)
     for (std::size_t i = 0; i < perm.size(); ++i)
         out_shape[i] = a.dim(perm[i]);
     Tensor out(out_shape);
+    if (perm == std::vector<std::int64_t>{1, 0}) {
+        const std::int64_t rows = a.dim(0);
+        const std::int64_t cols = a.dim(1);
+        for (std::int64_t r = 0; r < rows; ++r)
+            for (std::int64_t c = 0; c < cols; ++c) out.data()[c * rows + r] = a.data()[r * cols + c];
+        return out;
+    }
     const auto in_strides = strides_of(a.shape());
     std::vector<std::int64_t> index(out_shape.size(), 0);
     for (std::int64_t flat = 0; flat < out.volume(); ++flat) {
@@ -504,15 +610,17 @@ Tensor reduce_axis(const Tensor& input, std::int64_t axis, bool keep_dim, bool m
     for (std::int64_t d = axis + 1; d < input.rank(); ++d) inner *= input.dim(d);
     const std::int64_t extent = input.dim(axis);
 
+    // Each output element sums its extent in ascending order from 0; the
+    // loops walk the input contiguously, a whole inner row at a time.
     Tensor out(out_shape);
     for (std::int64_t o = 0; o < outer; ++o) {
-        for (std::int64_t i = 0; i < inner; ++i) {
-            float acc = 0.0F;
-            for (std::int64_t e = 0; e < extent; ++e)
-                acc += input.at((o * extent + e) * inner + i);
-            if (mean) acc /= static_cast<float>(extent);
-            out.at(o * inner + i) = acc;
+        float* acc = out.data() + o * inner;
+        for (std::int64_t e = 0; e < extent; ++e) {
+            const float* row = input.data() + (o * extent + e) * inner;
+            for (std::int64_t i = 0; i < inner; ++i) acc[i] += row[i];
         }
+        if (mean)
+            for (std::int64_t i = 0; i < inner; ++i) acc[i] /= static_cast<float>(extent);
     }
     return out;
 }

@@ -49,6 +49,11 @@ Tensor scale(const Tensor& a, float factor);
 /// (b,m,k)x(k,n) with the right-hand side broadcast over the batch.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
+/// aᵀ·b for 2-D a (m,k) and b (m,n) -> (k,n), without materialising aᵀ.
+/// Every output element accumulates over the m rows in ascending order and
+/// skips zero entries of a, exactly as matmul(transpose_last2(a), b) does.
+Tensor matmul_at_b(const Tensor& a, const Tensor& b);
+
 /// Permute axes; `perm` must be a permutation of [0, rank).
 Tensor transpose(const Tensor& a, const std::vector<std::int64_t>& perm);
 

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 
 #include "nn/adam.h"
 #include "nn/autograd.h"
 #include "nn/layers.h"
+#include "support/check.h"
 
 namespace xrl {
 namespace {
@@ -185,6 +188,158 @@ TEST(Autograd, SharedSubexpressionGetsSummedGradient)
     const Var y = tape.add(tape.square(leaf), leaf); // y = p^2 + p, dy/dp = 2p+1
     tape.backward(tape.sum_all(y));
     EXPECT_NEAR(p.grad.at(0), 7.0F, 1e-5F);
+}
+
+// -- fast-path gradients and the lazy-gradient contract ------------------------
+//
+// The loss sum_all(mul(out, upstream)) hands `out` exactly `upstream` as its
+// gradient, so each gradient below is compared bit for bit against a naive
+// loop over `upstream`. Gradients accumulate into zeros, hence the 0.0F +.
+
+void expect_bitwise_equal(const Tensor& actual, const Tensor& expected)
+{
+    ASSERT_EQ(actual.shape(), expected.shape());
+    for (std::int64_t i = 0; i < actual.volume(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(actual.at(i)), std::bit_cast<std::uint32_t>(expected.at(i)))
+            << "element " << i << ": " << actual.at(i) << " vs " << expected.at(i);
+}
+
+/// Random values with zeros, -0.0 and +-inf sprinkled in.
+Tensor special_values(Shape shape, std::uint64_t seed)
+{
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    Rng rng(seed);
+    Tensor t = Tensor::random_uniform(std::move(shape), rng);
+    const float specials[] = {0.0F, -0.0F, inf, -inf};
+    for (std::int64_t i = 0; i < t.volume(); i += 3) t.at(i) = specials[(i / 3) % 4];
+    return t;
+}
+
+void backward_with_upstream(Tape& tape, Var out, const Tensor& upstream)
+{
+    tape.backward(tape.sum_all(tape.mul(out, tape.constant(upstream))));
+}
+
+TEST(TapeFastPaths, BroadcastGradientsSumInAscendingOrder)
+{
+    Rng rng(51);
+    const Tensor x = Tensor::random_uniform({6, 5}, rng);
+    const Tensor upstream = special_values({6, 5}, 52);
+
+    Tape tape; // bias row: (m,n) + (1,n) sums the columns of upstream
+    const Var bias = tape.constant(Tensor::random_uniform({1, 5}, rng));
+    backward_with_upstream(tape, tape.add(tape.constant(x), bias), upstream);
+    Tensor columns(Shape{1, 5});
+    for (std::int64_t j = 0; j < 5; ++j) {
+        float acc = 0.0F;
+        for (std::int64_t i = 0; i < 6; ++i) acc += upstream.at(i * 5 + j);
+        columns.at(j) = 0.0F + acc;
+    }
+    expect_bitwise_equal(tape.grad(bias), columns);
+
+    Tape tape2; // GAT weighting: (m,n) * (m,1) sums each row of upstream * x
+    const Var h = tape2.constant(x);
+    const Var alpha = tape2.constant(Tensor::random_uniform({6, 1}, rng));
+    backward_with_upstream(tape2, tape2.mul(h, alpha), upstream);
+    Tensor rows(Shape{6, 1});
+    Tensor dh(Shape{6, 5});
+    for (std::int64_t i = 0; i < 6; ++i) {
+        float acc = 0.0F;
+        for (std::int64_t j = 0; j < 5; ++j) {
+            acc += upstream.at(i * 5 + j) * x.at(i * 5 + j);
+            dh.at(i * 5 + j) = 0.0F + upstream.at(i * 5 + j) * tape2.value(alpha).at(i);
+        }
+        rows.at(i) = 0.0F + acc;
+    }
+    expect_bitwise_equal(tape2.grad(alpha), rows);
+    expect_bitwise_equal(tape2.grad(h), dh);
+
+    Tape tape3; // scalar: (m,n) + (1,1) sums columns, then that row
+    const Var s = tape3.constant(Tensor(Shape{1, 1}, {0.5F}));
+    backward_with_upstream(tape3, tape3.add(tape3.constant(x), s), upstream);
+    float total = 0.0F;
+    for (std::int64_t j = 0; j < 5; ++j) total += columns.at(j);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(tape3.grad(s).at(0)), std::bit_cast<std::uint32_t>(0.0F + total));
+}
+
+TEST(TapeFastPaths, MatmulGradientsMatchNaiveLoopsWithZeroSkip)
+{
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    const std::int64_t m = 6;
+    const std::int64_t k = 5;
+    const std::int64_t n = 4;
+    // A holds zeros, -0.0 and inf; B has inf wherever A's first column is
+    // zero, and the upstream gradient holds zeros where B is inf, so both
+    // gradients stay finite only through matmul's skip of zero lhs entries.
+    const Tensor a_value = special_values({m, k}, 61);
+    Tensor b_value = special_values({k, n}, 62);
+    Tensor upstream = special_values({m, n}, 63);
+    for (std::int64_t i = 0; i < m; ++i)
+        if (a_value.at(i * k) == 0.0F) upstream.at(i * n) = inf;
+    for (std::int64_t j = 0; j < n; ++j) upstream.at(j) = 0.0F;
+    for (std::int64_t kk = 0; kk < k; ++kk) b_value.at(kk * n) = kk % 2 == 0 ? inf : 0.0F;
+
+    Tape tape;
+    const Var a = tape.constant(a_value);
+    const Var b = tape.constant(b_value);
+    backward_with_upstream(tape, tape.matmul(a, b), upstream);
+
+    Tensor da(Shape{m, k}); // g·Bᵀ, skipping zero g
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+            float acc = 0.0F;
+            for (std::int64_t j = 0; j < n; ++j) {
+                const float g = upstream.at(i * n + j);
+                if (g == 0.0F) continue;
+                acc += g * b_value.at(kk * n + j);
+            }
+            da.at(i * k + kk) = 0.0F + acc;
+        }
+    }
+    Tensor db(Shape{k, n}); // Aᵀ·g, skipping zero A
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            float acc = 0.0F;
+            for (std::int64_t i = 0; i < m; ++i) {
+                const float av = a_value.at(i * k + kk);
+                if (av == 0.0F) continue;
+                acc += av * upstream.at(i * n + j);
+            }
+            db.at(kk * n + j) = 0.0F + acc;
+        }
+    }
+    expect_bitwise_equal(tape.grad(a), da);
+    expect_bitwise_equal(tape.grad(b), db);
+    EXPECT_FALSE(std::isnan(db.at(0)));
+}
+
+TEST(TapeFastPaths, ZeroRowOperandsKeepTheirShapes)
+{
+    Tape tape;
+    const Var empty = tape.constant(Tensor(Shape{0, 3}));
+    const Var bias = tape.constant(Tensor::full({1, 3}, 2.0F));
+    const Var rows = tape.concat_rows(tape.add(empty, bias), tape.constant(Tensor::full({2, 3}, 1.0F)));
+    tape.backward(tape.sum_all(rows));
+    EXPECT_EQ(tape.value(rows).shape(), (Shape{2, 3}));
+    EXPECT_EQ(tape.grad(empty).shape(), (Shape{0, 3}));
+    expect_bitwise_equal(tape.grad(bias), Tensor(Shape{1, 3}));
+}
+
+TEST(TapeContract, GradientsExistOnlyAfterBackward)
+{
+    Parameter p(Tensor::full({2, 2}, 1.5F));
+    Tape tape;
+    const Var leaf = tape.param(p);
+    const Var loss = tape.sum_all(tape.square(leaf));
+    EXPECT_THROW(tape.grad(leaf), Contract_violation);
+    EXPECT_THROW(tape.grad(loss), Contract_violation);
+    tape.backward(loss);
+    expect_bitwise_equal(tape.grad(leaf), Tensor::full({2, 2}, 3.0F));
+    EXPECT_EQ(tape.grad(loss).at(0), 1.0F);
+    EXPECT_THROW(tape.grad(Var{}), Contract_violation);
+    // A var pushed after the sweep has no gradient until the next one.
+    const Var late = tape.scale(leaf, 2.0F);
+    EXPECT_THROW(tape.grad(late), Contract_violation);
 }
 
 TEST(Layers, LinearShapeAndBias)

@@ -17,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/trainer.h"
 #include "cost/cost_model.h"
+#include "cost/e2e_simulator.h"
 #include "ir/builder.h"
 #include "models/models.h"
 #include "net/client.h"
@@ -325,6 +327,51 @@ TEST(CandidatePhases, TasoSearchIsTimedAndTraced)
             return span.name == "candidates/materialise";
         });
     EXPECT_EQ(materialise_spans, result.iterations);
+}
+
+// ---------------------------------------------------------------------------
+// PPO update phases: forward, backward and Adam are timed per minibatch
+// ---------------------------------------------------------------------------
+
+std::uint64_t rollout_phase_count(const char* phase)
+{
+    return Metrics_registry::global()
+        .histogram("xrlflow_rollout_phase_us", "RL rollout time by phase", duration_us_buckets(),
+                   {{"phase", phase}})
+        .snapshot()
+        .count;
+}
+
+TEST(UpdatePhases, TrainTimesEachPhaseOncePerMinibatch)
+{
+    const char* const phases[] = {"ppo_forward", "ppo_backward", "adam_step"};
+    std::vector<std::uint64_t> before;
+    for (const char* phase : phases) before.push_back(rollout_phase_count(phase));
+
+    const Rule_set rules = standard_rule_corpus();
+    E2e_simulator sim(gtx1080_profile(), 11);
+    Env_config env_config;
+    env_config.max_candidates = 15;
+    env_config.max_steps = 5;
+    Environment env(make_squeezenet(Scale::smoke, 16), rules, sim, env_config);
+    Agent_config agent_config;
+    agent_config.gnn.hidden_dim = 8;
+    agent_config.gnn.global_dim = 8;
+    agent_config.gnn.num_gat_layers = 2;
+    agent_config.head_hidden = {16, 8};
+    agent_config.max_candidates = 15;
+    Agent agent(agent_config, 5);
+    Trainer_config trainer_config;
+    trainer_config.update_every_episodes = 1;
+    trainer_config.ppo.minibatch_size = 2;
+    trainer_config.ppo.epochs = 2;
+    Trainer trainer(agent, env, trainer_config);
+
+    ASSERT_EQ(trainer.train(1), 1);
+    const auto minibatches = static_cast<std::uint64_t>(trainer.last_update().minibatches);
+    ASSERT_GT(minibatches, 0U);
+    for (std::size_t i = 0; i < std::size(phases); ++i)
+        EXPECT_EQ(rollout_phase_count(phases[i]), before[i] + minibatches) << phases[i];
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "support/check.h"
 #include "tensor/kernels.h"
@@ -71,6 +74,8 @@ TEST(Broadcast, ShapesFollowNumpyRules)
     EXPECT_EQ(broadcast_shapes({2, 1}, {1, 3}), (Shape{2, 3}));
     EXPECT_EQ(broadcast_shapes({3}, {2, 3}), (Shape{2, 3}));
     EXPECT_EQ(broadcast_shapes({}, {4, 5}), (Shape{4, 5}));
+    EXPECT_EQ(broadcast_shapes({0, 3}, {1, 3}), (Shape{0, 3}));
+    EXPECT_EQ(broadcast_shapes({1, 3}, {0, 1}), (Shape{0, 3}));
     EXPECT_THROW(broadcast_shapes({2, 3}, {2, 4}), Contract_violation);
 }
 
@@ -469,6 +474,211 @@ TEST_P(Concat_axis, SplitOfConcatIsIdentity)
 }
 
 INSTANTIATE_TEST_SUITE_P(Axes, Concat_axis, ::testing::Values(0, 1, 2));
+
+// ---------------------------------------------------------------------------
+// Fast-path parity: every contiguous kernel path must produce exactly the
+// bits of a naive reference loop, including for zeros, -0.0 and inf.
+// ---------------------------------------------------------------------------
+
+constexpr float inf = std::numeric_limits<float>::infinity();
+
+void expect_bitwise_equal(const Tensor& actual, const Tensor& expected)
+{
+    ASSERT_EQ(actual.shape(), expected.shape());
+    for (std::int64_t i = 0; i < actual.volume(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(actual.at(i)), std::bit_cast<std::uint32_t>(expected.at(i)))
+            << "element " << i << ": " << actual.at(i) << " vs " << expected.at(i);
+}
+
+/// Random values with zeros, -0.0 and +-inf sprinkled in.
+Tensor special_values(Shape shape, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Tensor t = Tensor::random_uniform(std::move(shape), rng);
+    const float specials[] = {0.0F, -0.0F, inf, -inf};
+    for (std::int64_t i = 0; i < t.volume(); i += 3) t.at(i) = specials[(i / 3) % 4];
+    return t;
+}
+
+/// NumPy broadcasting by an explicit multi-index walk.
+template <typename F>
+Tensor naive_broadcast(const Tensor& a, const Tensor& b, F f)
+{
+    const std::size_t rank = std::max(a.shape().size(), b.shape().size());
+    auto padded = [rank](const Shape& s) {
+        Shape p(rank - s.size(), 1);
+        p.insert(p.end(), s.begin(), s.end());
+        return p;
+    };
+    const Shape pa = padded(a.shape());
+    const Shape pb = padded(b.shape());
+    Shape out_shape(rank);
+    for (std::size_t d = 0; d < rank; ++d) out_shape[d] = pa[d] == 1 ? pb[d] : pa[d];
+    Tensor out(out_shape);
+    for (std::int64_t flat = 0; flat < out.volume(); ++flat) {
+        std::int64_t rest = flat;
+        std::int64_t ia = 0;
+        std::int64_t ib = 0;
+        std::int64_t stride_a = 1;
+        std::int64_t stride_b = 1;
+        for (std::size_t d = rank; d-- > 0;) {
+            const std::int64_t index = rest % out_shape[d];
+            rest /= out_shape[d];
+            ia += (pa[d] == 1 ? 0 : index) * stride_a;
+            ib += (pb[d] == 1 ? 0 : index) * stride_b;
+            stride_a *= pa[d];
+            stride_b *= pb[d];
+        }
+        out.at(flat) = f(a.at(ia), b.at(ib));
+    }
+    return out;
+}
+
+void expect_binary_ops_match_reference(const Shape& sa, const Shape& sb)
+{
+    SCOPED_TRACE(shape_to_string(sa) + " op " + shape_to_string(sb));
+    const Tensor a = special_values(sa, 11);
+    const Tensor b = special_values(sb, 12);
+    expect_bitwise_equal(add(a, b), naive_broadcast(a, b, [](float x, float y) { return x + y; }));
+    expect_bitwise_equal(sub(a, b), naive_broadcast(a, b, [](float x, float y) { return x - y; }));
+    expect_bitwise_equal(mul(a, b), naive_broadcast(a, b, [](float x, float y) { return x * y; }));
+    expect_bitwise_equal(div(a, b), naive_broadcast(a, b, [](float x, float y) { return x / y; }));
+    expect_bitwise_equal(ewise_binary(a, b, [](float x, float y) { return x * y + 1.0F; }),
+                         naive_broadcast(a, b, [](float x, float y) { return x * y + 1.0F; }));
+}
+
+TEST(FastPathParity, BroadcastKindsMatchNaiveReference)
+{
+    expect_binary_ops_match_reference({5, 7}, {5, 7}); // same shape
+    expect_binary_ops_match_reference({5, 7}, {1, 7}); // row
+    expect_binary_ops_match_reference({5, 7}, {7});    // rank-1 row
+    expect_binary_ops_match_reference({5, 7}, {5, 1}); // column
+    expect_binary_ops_match_reference({7, 7}, {7, 1}); // column of a square operand
+    expect_binary_ops_match_reference({5, 7}, {1, 1}); // scalar
+    expect_binary_ops_match_reference({5, 7}, {});     // rank-0 scalar
+    expect_binary_ops_match_reference({1, 7}, {1, 1});
+    expect_binary_ops_match_reference({5, 1}, {1, 1});
+}
+
+TEST(FastPathParity, GenericBroadcastShapesMatchNaiveReference)
+{
+    expect_binary_ops_match_reference({1, 7}, {5, 7});       // left-side broadcast
+    expect_binary_ops_match_reference({5, 1}, {1, 7});       // both sides broadcast
+    expect_binary_ops_match_reference({3, 5, 7}, {1, 1, 7}); // rank 3
+    expect_binary_ops_match_reference({3, 5, 7}, {5, 1});
+    expect_binary_ops_match_reference({0, 7}, {1, 7});       // 0 rows
+    expect_binary_ops_match_reference({0, 7}, {0, 1});
+}
+
+TEST(FastPathParity, UnaryKernelsMatchScalarFunctions)
+{
+    const Tensor a = special_values({4, 9}, 13);
+    const Tensor e = exp_op(a);
+    const Tensor r = relu(a);
+    const Tensor l = leaky_relu(a, 0.2F);
+    const Tensor s = scale(a, -3.0F);
+    const Tensor u = ewise_unary(a, [](float x) { return x * x; });
+    for (std::int64_t i = 0; i < a.volume(); ++i) {
+        const float x = a.at(i);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(e.at(i)), std::bit_cast<std::uint32_t>(std::exp(x)));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(r.at(i)), std::bit_cast<std::uint32_t>(x > 0.0F ? x : 0.0F));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(l.at(i)),
+                  std::bit_cast<std::uint32_t>(x > 0.0F ? x : 0.2F * x));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(s.at(i)), std::bit_cast<std::uint32_t>(-3.0F * x));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(u.at(i)), std::bit_cast<std::uint32_t>(x * x));
+    }
+}
+
+/// out[i][j] = sum over kk ascending of lhs(i,kk) * rhs(kk,j), skipping
+/// lhs(i,kk) == 0 — matmul's zero-skip, which turns 0 * inf into nothing
+/// rather than NaN.
+template <typename Lhs, typename Rhs>
+Tensor naive_matmul(std::int64_t m, std::int64_t k, std::int64_t n, Lhs lhs, Rhs rhs)
+{
+    Tensor out(Shape{m, n});
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            float acc = 0.0F;
+            for (std::int64_t kk = 0; kk < k; ++kk) {
+                const float l = lhs(i, kk);
+                if (l == 0.0F) continue;
+                acc += l * rhs(kk, j);
+            }
+            out.at(i * n + j) = acc;
+        }
+    }
+    return out;
+}
+
+TEST(FastPathParity, MatmulsMatchNaiveReferenceWithZeroSkip)
+{
+    const std::int64_t m = 6;
+    const std::int64_t k = 5;
+    for (const std::int64_t n : {4, 1}) { // n == 1 takes the matrix-vector paths
+        SCOPED_TRACE("n = " + std::to_string(n));
+        // a holds zeros, -0.0 and +-inf; b is positive, with inf in each row
+        // that meets a zero of a's first row, so only the zero-skip keeps
+        // out[0][0] from being 0 * inf = NaN.
+        const Tensor a = special_values({m, k}, 21);
+        Rng rng(static_cast<std::uint64_t>(20 + n));
+        Tensor b = Tensor::random_uniform({k, n}, rng, 0.5F, 1.0F);
+        for (std::int64_t kk = 0; kk < k; ++kk)
+            if (a.at(kk) == 0.0F) b.at(kk * n) = inf;
+        const Tensor expected = naive_matmul(m, k, n, [&](auto i, auto kk) { return a.at(i * k + kk); },
+                                             [&](auto kk, auto j) { return b.at(kk * n + j); });
+        EXPECT_FALSE(std::isnan(expected.at(0)));
+
+        expect_bitwise_equal(matmul(a, b), expected);
+        const Tensor bt = transpose_last2(b); // A·Bᵀ, the tape's dA
+        expect_bitwise_equal(matmul(a, transpose_last2(bt)), expected);
+        const Tensor at = transpose_last2(a); // Aᵀ·B, the tape's dB
+        expect_bitwise_equal(matmul_at_b(at, b), expected);
+    }
+    EXPECT_THROW(matmul_at_b(Tensor(Shape{3, 2}), Tensor(Shape{4, 2})), Contract_violation);
+}
+
+TEST(FastPathParity, TwoDimensionalTransposeMatchesIndexing)
+{
+    const Tensor a = special_values({3, 7}, 31);
+    const Tensor t = transpose(a, {1, 0});
+    ASSERT_EQ(t.shape(), (Shape{7, 3}));
+    for (std::int64_t r = 0; r < 3; ++r)
+        for (std::int64_t c = 0; c < 7; ++c)
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(t.at(c * 3 + r)), std::bit_cast<std::uint32_t>(a.at(r * 7 + c)));
+    EXPECT_EQ(transpose(Tensor(Shape{0, 4}), {1, 0}).shape(), (Shape{4, 0}));
+}
+
+TEST(FastPathParity, ReductionsSumInAscendingOrder)
+{
+    const Tensor a = special_values({6, 5}, 41);
+    Tensor columns(Shape{1, 5}); // (m,n) -> (1,n)
+    Tensor rows(Shape{6, 1});    // (m,n) -> (m,1)
+    for (std::int64_t j = 0; j < 5; ++j) {
+        float acc = 0.0F;
+        for (std::int64_t i = 0; i < 6; ++i) acc += a.at(i * 5 + j);
+        columns.at(j) = acc;
+    }
+    for (std::int64_t i = 0; i < 6; ++i) {
+        float acc = 0.0F;
+        for (std::int64_t j = 0; j < 5; ++j) acc += a.at(i * 5 + j);
+        rows.at(i) = acc;
+    }
+    expect_bitwise_equal(reduce_sum(a, 0, /*keep_dim=*/true), columns);
+    expect_bitwise_equal(reduce_sum(a, 1, /*keep_dim=*/true), rows);
+
+    // A middle axis of a rank-3 tensor, and the mean's final division.
+    Rng rng(42);
+    const Tensor b = Tensor::random_uniform({2, 3, 4}, rng);
+    Tensor middle(Shape{2, 4});
+    for (std::int64_t o = 0; o < 2; ++o) {
+        for (std::int64_t i = 0; i < 4; ++i) {
+            float acc = 0.0F;
+            for (std::int64_t e = 0; e < 3; ++e) acc += b.at((o * 3 + e) * 4 + i);
+            middle.at(o * 4 + i) = acc / 3.0F;
+        }
+    }
+    expect_bitwise_equal(reduce_mean(b, 1, /*keep_dim=*/false), middle);
+}
 
 } // namespace
 } // namespace xrl
