@@ -193,10 +193,8 @@ Tensor matmul(const Tensor& a, const Tensor& b)
         if (n == 1) { // matrix-vector: GAT attention scores
             for (std::int64_t i = 0; i < m; ++i) {
                 float acc = 0.0F;
-                for (std::int64_t kk = 0; kk < k; ++kk) {
-                    const float av = pa[i * k + kk];
-                    acc += zero_skipped_product(av, b.data()[kk]);
-                }
+                for (std::int64_t kk = 0; kk < k; ++kk)
+                    acc += zero_skipped_product(pa[i * k + kk], b.data()[kk]);
                 out.data()[i] = acc;
             }
             return out;

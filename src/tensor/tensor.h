@@ -4,8 +4,8 @@
 // (naively) so that the rewrite-rule generator and the property-test suite
 // can check that graph transformations preserve semantics on random inputs.
 // It is deliberately simple — clarity over speed (Per.1/Per.3) — except that
-// element access is inline: the autograd tape reads tensors hundreds of
-// millions of times per training run.
+// element access is inline, because callers such as Adam index element by
+// element in their hot loops.
 #pragma once
 
 #include <cstdint>
