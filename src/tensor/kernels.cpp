@@ -78,7 +78,7 @@ namespace {
 // operand with a (1,n) row, (m,1) column or single-element right operand —
 // run as contiguous loops. Every other broadcast takes the strided walk.
 template <typename F>
-Tensor binary_kernel(const Tensor& a, const Tensor& b, F f)
+Tensor binary_kernel(const Tensor& a, const Tensor& b, const F& f)
 {
     const Shape out_shape = broadcast_shapes(a.shape(), b.shape());
     Tensor out(out_shape);
@@ -125,7 +125,7 @@ Tensor binary_kernel(const Tensor& a, const Tensor& b, F f)
 }
 
 template <typename F>
-Tensor unary_kernel(const Tensor& a, F f)
+Tensor unary_kernel(const Tensor& a, const F& f)
 {
     Tensor out(a.shape());
     float* o = out.data();
